@@ -32,10 +32,9 @@
 // `evicted` columns show what the budget did), --mesh 1024 --grid 4 is
 // the headline large-mesh configuration (--modes auto drops the
 // full-mesh single baseline at >= 1024, where one service cannot even
-// build), --stitch-plan flat|hier A/Bs the hierarchical planner, and
-// --reader-threads N partitions readers 1:1 onto shards (thread t
-// serves ONLY shard t%shards' intra batches — shard-disjoint readers
-// share no snapshot, the aggregate-QPS scaling rows). The final
+// build), and --reader-threads N partitions readers 1:1 onto shards
+// (thread t serves ONLY shard t%shards' intra batches — shard-disjoint
+// readers share no snapshot, the aggregate-QPS scaling rows). The final
 // --metrics-out snapshot carries a process.peak_rss_bytes gauge so CI
 // can assert a hard memory ceiling on budgeted runs.
 #include <algorithm>
@@ -122,13 +121,9 @@ int main(int argc, char** argv) {
   flags.define("column-budget-mb", "0",
                "resident column budget per service in MiB (each fleet "
                "shard gets this budget; 0 = unbounded). Over budget, "
-               "snapshots demote dense columns to packed and run CLOCK "
-               "second-chance eviction; evicted columns recompile "
-               "bit-identically on next touch (DESIGN.md section 14)");
-  flags.define("stitch-plan", "hier",
-               "cross-shard planning: hier (epoch-cached shard-adjacency "
-               "supergraph + lazy borders) or flat (PR-7 per-batch "
-               "full-graph rebuild baseline)");
+               "snapshots run CLOCK second-chance eviction; evicted "
+               "columns recompile bit-identically on next touch "
+               "(DESIGN.md section 14)");
   flags.define("reader-threads", "0",
                "partitioned multi-core mode: N reader threads, thread t "
                "serving ONLY shard t%shards' intra batches (no mixed "
@@ -220,12 +215,6 @@ int main(int argc, char** argv) {
   if (!parseOverloadPolicy(flags.str("overload"), &overloadPolicy)) {
     std::cerr << "unknown --overload '" << flags.str("overload")
               << "' (degrade|shed)\n";
-    return 1;
-  }
-  StitchPlanMode stitchPlan = StitchPlanMode::Hierarchical;
-  if (!parseStitchPlanMode(flags.str("stitch-plan"), &stitchPlan)) {
-    std::cerr << "unknown --stitch-plan '" << flags.str("stitch-plan")
-              << "' (hier|flat)\n";
     return 1;
   }
   const double budgetMb = flags.real("column-budget-mb");
@@ -371,7 +360,6 @@ int main(int argc, char** argv) {
         fleetCfg.halo = halo;
         fleetCfg.maxWriterQueue = maxQueue;
         fleetCfg.overload = overloadPolicy;
-        fleetCfg.stitchPlan = stitchPlan;
         if (chaos) {
           // Self-healing configuration: bounded queues (retry writers),
           // a tight watchdog, and a fast supervisor so quarantines and

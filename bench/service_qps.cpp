@@ -41,9 +41,6 @@ int main(int argc, char** argv) {
   flags.define("fault-rate", "0.10", "initial fault fraction of nodes");
   flags.define("router", "rb2", "registry key the tables compile");
   flags.define("threads", "0", "service worker threads (0 = all cores)");
-  flags.define("encoding", "packed,dense",
-               "comma-separated column encodings to A/B: dense, packed, "
-               "packed-scalar");
   flags.define("queries", "100000", "queries per measured batch");
   flags.define("dests", "64", "distinct destinations in the batch");
   flags.define("batches", "5", "measured batches per row");
@@ -99,19 +96,6 @@ int main(int argc, char** argv) {
                            flags.integer("naive-queries")));
   const double faultRate = flags.real("fault-rate");
   const std::string routerKey = flags.str("router");
-  std::vector<ColumnEncoding> encodings;
-  for (const std::string& item : splitCommaList(flags.str("encoding"))) {
-    if (item == "dense") {
-      encodings.push_back(ColumnEncoding::Dense);
-    } else if (item == "packed") {
-      encodings.push_back(ColumnEncoding::Packed);
-    } else if (item == "packed-scalar") {
-      encodings.push_back(ColumnEncoding::PackedScalar);
-    } else {
-      std::cerr << "unknown --encoding '" << item << "'\n";
-      return 1;
-    }
-  }
   const auto abPairs =
       static_cast<std::size_t>(flags.integer("telemetry-ab"));
   const auto fpPairs =
@@ -146,16 +130,15 @@ int main(int argc, char** argv) {
 
   Table table(
       abPairs > 0
-          ? std::vector<std::string>{"mesh", "encoding", "churn", "pairs",
-                                     "qps_on", "qps_off", "overhead_pct"}
+          ? std::vector<std::string>{"mesh", "churn", "pairs", "qps_on",
+                                     "qps_off", "overhead_pct"}
       : fpPairs > 0
-          ? std::vector<std::string>{"mesh", "encoding", "churn", "pairs",
-                                     "qps_armed", "qps_disarmed",
-                                     "overhead_pct"}
-          : std::vector<std::string>{"mesh", "encoding", "churn",
-                                     "compile_ms", "table_qps", "naive_qps",
-                                     "speedup", "delivered", "patched",
-                                     "carried", "entries/ev"});
+          ? std::vector<std::string>{"mesh", "churn", "pairs", "qps_armed",
+                                     "qps_disarmed", "overhead_pct"}
+          : std::vector<std::string>{"mesh", "churn", "compile_ms",
+                                     "table_qps", "naive_qps", "speedup",
+                                     "delivered", "patched", "carried",
+                                     "entries/ev"});
   for (std::size_t meshSize : meshes) {
     const Mesh2D mesh = Mesh2D::square(static_cast<Coord>(meshSize));
     Rng rng = Rng::forStream(seed, meshSize);
@@ -199,7 +182,6 @@ int main(int argc, char** argv) {
     const double naiveQps =
         static_cast<double>(naiveQueries) / naiveSeconds;
 
-    for (ColumnEncoding encoding : encodings)
     for (std::size_t churn : churnLevels) {
       if (abPairs > 0) {
         // In-process telemetry A/B: two services over the same fault set,
@@ -212,7 +194,6 @@ int main(int argc, char** argv) {
         ServiceConfig cfgOn;
         cfgOn.routerKey = routerKey;
         cfgOn.threads = threads;
-        cfgOn.encoding = encoding;
         cfgOn.telemetry.enabled = true;
         ServiceConfig cfgOff = cfgOn;
         cfgOff.telemetry.enabled = false;
@@ -256,7 +237,6 @@ int main(int argc, char** argv) {
         };
         Table& row = table.row();
         row.cell(static_cast<std::int64_t>(meshSize));
-        row.cell(std::string(columnEncodingName(encoding)));
         row.cell(static_cast<std::int64_t>(churn));
         row.cell(static_cast<std::int64_t>(abPairs));
         row.cell(median(qpsOn), 0);
@@ -280,7 +260,6 @@ int main(int argc, char** argv) {
         ServiceConfig cfg;
         cfg.routerKey = routerKey;
         cfg.threads = threads;
-        cfg.encoding = encoding;
         RouteService service(faults, cfg);
         service.serve(batch, /*wantPaths=*/false);  // compile + warm
 
@@ -318,7 +297,6 @@ int main(int argc, char** argv) {
         };
         Table& row = table.row();
         row.cell(static_cast<std::int64_t>(meshSize));
-        row.cell(std::string(columnEncodingName(encoding)));
         row.cell(static_cast<std::int64_t>(churn));
         row.cell(static_cast<std::int64_t>(fpPairs));
         row.cell(median(qpsArmed), 0);
@@ -329,7 +307,6 @@ int main(int argc, char** argv) {
       ServiceConfig cfg;
       cfg.routerKey = routerKey;
       cfg.threads = threads;
-      cfg.encoding = encoding;
       RouteService service(faults, cfg);
 
       // Compile phase: first serve builds every needed column.
@@ -371,7 +348,6 @@ int main(int argc, char** argv) {
 
       Table& row = table.row();
       row.cell(static_cast<std::int64_t>(meshSize));
-      row.cell(std::string(columnEncodingName(encoding)));
       row.cell(static_cast<std::int64_t>(churn));
       row.cell(compileMs, 1);
       row.cell(tableQps, 0);

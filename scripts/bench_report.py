@@ -1,22 +1,23 @@
 #!/usr/bin/env python3
 """Perf tracking for the route-service benches and hot-path kernels.
 
-Runs service_qps --smoke, the single-core 64x64 encoding A/B
-(packed/AVX2 lockstep vs forced-scalar lockstep vs dense per-query
-chase, all from one binary), service_churn_qps --smoke (cow +
-deep-clone storage rows), the writer-only publish-latency sweep at
-256x256 and 512x512 (the copy-on-write paged storage A/B:
-pub_p50_us/pub_p99_us per applyEvent against the pre-COW deep-clone
-baseline), the in-process telemetry on/off overhead A/B at the
-single-core 64x64 packed point, the failpoint armed/disarmed A/B at the
-same point (both held to the <= 2% hot-path budget), the fleet chaos
+Runs service_qps --smoke, the single-core 64x64 batched serve point
+(packed columns, lockstep chase on the CPU-dispatched engine),
+service_churn_qps --smoke, the writer-only publish-latency sweep at
+256x256 and 512x512 (pub_p50_us/pub_p99_us per applyEvent on the
+copy-on-write paged storage), the in-process telemetry on/off overhead
+A/B at the single-core 64x64 point, the failpoint armed/disarmed A/B at
+the same point (both held to the <= 2% hot-path budget), the fleet chaos
 point (applier failpoints armed, bounded queues, supervisor healing on
-the clock), and the table/chase + executor micro kernels —
-several times each (median-of-N so one noisy
-run cannot move the record) — and emits a machine- and commit-stamped
-JSON report. The committed BENCH_service.json at the repo root is the
-trajectory record: regenerate it on perf-relevant PRs and eyeball the
-diff.
+the clock), and the table/chase + executor micro kernels — several
+times each (median-of-N so one noisy run cannot move the record) — and
+emits a machine- and commit-stamped JSON report (`dirty` marks a report
+generated from a tree with uncommitted changes). The committed
+BENCH_service.json at the repo root is the trajectory record: regenerate
+it on perf-relevant PRs and eyeball the diff. Its `encoding` and
+`storage` rows are the recorded verdicts of the dense-column,
+forced-scalar and deep-clone A/B baselines, which have since been
+removed from the code; a regenerated report no longer carries them.
 
     python3 scripts/bench_report.py                 # median of 5, smoke
     python3 scripts/bench_report.py --runs 1        # CI smoke (fast)
@@ -68,13 +69,14 @@ def median_by_key(rows_per_run, key_fields, value_fields):
     return merged
 
 
-def git_commit(repo_root):
+def git_output(repo_root, *args):
+    """stdout of `git -C repo_root args...`, or None when git fails."""
     try:
         return subprocess.run(
-            ["git", "-C", repo_root, "rev-parse", "--short", "HEAD"],
+            ["git", "-C", repo_root, *args],
             check=True, capture_output=True, text=True).stdout.strip()
     except (subprocess.CalledProcessError, FileNotFoundError):
-        return "unknown"
+        return None
 
 
 def main():
@@ -97,10 +99,14 @@ def main():
         path = os.path.join(build, name)
         return path if os.path.exists(path) else None
 
+    status = git_output(repo_root, "status", "--porcelain")
+    dirty = None if status is None else bool(status)
     report = {
         "generated_utc": datetime.now(timezone.utc).isoformat(
             timespec="seconds"),
-        "commit": git_commit(repo_root),
+        "commit": git_output(repo_root, "rev-parse", "--short", "HEAD")
+        or "unknown",
+        "dirty": dirty,
         "machine": {
             "platform": platform.platform(),
             "machine": platform.machine(),
@@ -118,24 +124,21 @@ def main():
     runs = [run_json([qps, "--smoke", "--format", "json"])
             for _ in range(args.runs)]
     report["service_qps"] = median_by_key(
-        runs, ["mesh", "encoding", "churn"],
+        runs, ["mesh", "churn"],
         ["compile_ms", "table_qps", "naive_qps", "speedup"])
 
-    # Single-core batched serve throughput at 64x64, keyed by column
-    # encoding: the packed/AVX2 lockstep engine vs the forced-scalar
-    # lockstep fallback vs the dense per-query chase. This is the
-    # headline A/B for the SIMD batch-serving path — all three rows come
-    # from the same binary, so the dispatch itself is what moves.
+    # Single-core batched serve throughput at 64x64: packed columns
+    # chased in lockstep by the engine CPU dispatch picks (AVX2 where the
+    # CPU has it, the scalar lockstep engine otherwise).
     runs = [run_json([qps, "--meshes", "64", "--threads", "1",
-                      "--encoding", "packed,packed-scalar,dense",
                       "--churn", "0,4", "--batches", "3",
                       "--format", "json"])
             for _ in range(args.runs)]
     report["service_batch_qps"] = median_by_key(
-        runs, ["mesh", "encoding", "churn"],
+        runs, ["mesh", "churn"],
         ["compile_ms", "table_qps", "speedup"])
 
-    # Telemetry overhead A/B at the single-core 64x64 packed serve point.
+    # Telemetry overhead A/B at the single-core 64x64 serve point.
     # service_qps --telemetry-ab holds two services in ONE process (stage
     # histograms explicitly on vs off; counters/gauges live in both) and
     # alternates timed batch pairs milliseconds apart, reporting the
@@ -144,8 +147,8 @@ def main():
     # effect). The hot-path contract for the observability layer is
     # overhead_pct <= 2 at this point.
     overhead_cmd = [qps, "--meshes", "64", "--threads", "1",
-                    "--encoding", "packed", "--churn", "0",
-                    "--telemetry-ab", "50", "--format", "json"]
+                    "--churn", "0", "--telemetry-ab", "50",
+                    "--format", "json"]
     ab_rows = [run_json(overhead_cmd)[0] for _ in range(max(args.runs, 3))]
     report["telemetry_overhead"] = {
         "point": "64x64 packed, threads=1, churn=0, "
@@ -166,8 +169,8 @@ def main():
     # overhead_pct <= 2, the contract that lets the failpoints stay
     # compiled into production code.
     fp_cmd = [qps, "--meshes", "64", "--threads", "1",
-              "--encoding", "packed", "--churn", "0",
-              "--failpoint-ab", "50", "--format", "json"]
+              "--churn", "0", "--failpoint-ab", "50",
+              "--format", "json"]
     fp_rows = [run_json(fp_cmd)[0] for _ in range(max(args.runs, 3))]
     report["failpoint_overhead"] = {
         "point": "64x64 packed, threads=1, churn=0, "
@@ -185,23 +188,21 @@ def main():
     if not churn:
         print("service_churn_qps not built", file=sys.stderr)
         return 1
-    runs = [run_json([churn, "--smoke", "--storage", "cow,deep",
-                      "--format", "json"])
+    runs = [run_json([churn, "--smoke", "--format", "json"])
             for _ in range(args.runs)]
     report["service_churn_qps"] = median_by_key(
-        runs, ["mesh", "readers", "writers", "storage"],
+        runs, ["mesh", "readers", "writers"],
         ["agg_qps", "reader_qps", "events/s"])
 
-    # Writer-only publish latency: the COW-vs-deep-clone storage A/B at
+    # Writer-only publish latency of the COW paged storage at
     # production-ish mesh sizes (no readers, no compiled columns — the
     # isolated cost of publishing one epoch).
     runs = [run_json([churn, "--meshes", "256,512", "--readers", "0",
                       "--writers", "1", "--events", "200",
-                      "--threads", "4", "--storage", "cow,deep",
-                      "--format", "json"])
+                      "--threads", "4", "--format", "json"])
             for _ in range(args.runs)]
     report["service_publish_latency"] = median_by_key(
-        runs, ["mesh", "storage"],
+        runs, ["mesh"],
         ["pub_p50_us", "pub_p99_us", "events/s"])
 
     # Sharded fleet vs single-service A/B at 256x256 under a fixed

@@ -43,12 +43,6 @@ void FaultAnalysis::materializeAll() const {
   for (int q = 0; q < 4; ++q) quadrant(static_cast<Quadrant>(q));
 }
 
-void FaultAnalysis::detachPages() {
-  for (auto& slot : cache_) {
-    if (slot) slot->detachPages();
-  }
-}
-
 std::unique_ptr<FaultAnalysis> FaultAnalysis::cloneFor(
     const FaultSet& faults) const {
   auto clone = std::make_unique<FaultAnalysis>(faults);

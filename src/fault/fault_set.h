@@ -64,8 +64,6 @@ class FaultSet {
 
   /// The underlying paged storage (page-sharing stats in tests/benches).
   const PagedGrid<std::uint8_t>& pages() const { return faulty_; }
-  /// Forces every page unique (the deep-clone baseline's cost profile).
-  void detachPages() { faulty_.detachAll(); }
 
  private:
   Mesh2D mesh_;

@@ -57,8 +57,6 @@ class LabelGrid {
 
   /// The underlying paged storage (page-sharing stats in tests/benches).
   const PagedGrid<std::uint8_t>& pages() const { return flags_; }
-  /// Forces every page unique (the deep-clone baseline's cost profile).
-  void detachPages() { flags_.detachAll(); }
 
  private:
   PagedGrid<std::uint8_t> flags_;

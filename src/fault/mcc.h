@@ -177,22 +177,6 @@ class MccSlots {
     ensureUnique(i >> kChunkBits).slots[i & kChunkMask] = nullptr;
   }
 
-  /// Deep-copies every chunk and record — the pre-COW baseline's cost
-  /// profile (each epoch clone used to duplicate every Mcc, Staircase
-  /// heap data included).
-  void detachAll() {
-    for (std::size_t c = 0; c < chunks_.size(); ++c) {
-      auto fresh = std::make_shared<Chunk>();
-      for (std::size_t i = 0; i < kChunkSlots; ++i) {
-        if (chunks_[c]->slots[i]) {
-          fresh->slots[i] =
-              std::make_shared<const Mcc>(*chunks_[c]->slots[i]);
-        }
-      }
-      chunks_[c] = std::move(fresh);
-      own_.markOwned(c);
-    }
-  }
 
  private:
   Chunk& ensureUnique(std::size_t c) {

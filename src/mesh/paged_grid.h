@@ -169,7 +169,7 @@ class PagedGrid {
 
   /// Pages physically shared between two grids (same tile object). The
   /// COW tests assert a published epoch shares > 0 pages with its
-  /// predecessor; the deep-clone baseline shares none.
+  /// predecessor.
   static std::size_t sharedPageCount(const PagedGrid& a, const PagedGrid& b) {
     assert(a.pages_.size() == b.pages_.size());
     std::size_t n = 0;
@@ -177,17 +177,6 @@ class PagedGrid {
       n += (a.pages_[i] != nullptr && a.pages_[i] == b.pages_[i]);
     }
     return n;
-  }
-
-  /// Copies every allocated page — the cost profile of the pre-COW deep
-  /// clone, kept as an A/B baseline for benches and tests.
-  void detachAll() {
-    for (std::size_t i = 0; i < pages_.size(); ++i) {
-      if (pages_[i]) {
-        pages_[i] = std::make_shared<Page>(*pages_[i]);
-        own_.markOwned(i);
-      }
-    }
   }
 
   /// Invokes fn(Point, const T&) for every in-mesh cell of every

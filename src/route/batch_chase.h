@@ -17,9 +17,8 @@
 //  - chaseBatchAvx2: AVX2 gather/mask lanes (one masked 32-bit gather
 //    per step resolves all 8 nibbles), compiled in its own -mavx2
 //    translation unit and dispatched at runtime via cpuid.
-// chaseBatch() picks the widest available engine unless the caller
-// forbids SIMD (ServiceConfig's packed-scalar A/B mode and the CI
-// differential suites force the fallback).
+// chaseBatch() picks the widest engine the CPU supports; hosts without
+// AVX2 (and builds with MESHRT_DISABLE_AVX2) run the scalar engine.
 //
 // Status/hops land in SoA output arrays at the queries' indices —
 // exactly the shape BatchResult serves — and match the scalar
@@ -53,13 +52,12 @@ void chaseBatchAvx2(const PackedRouteColumn& column, const NodeId* sources,
                     std::size_t count, std::size_t maxSteps,
                     ServeStatus* status, std::int32_t* hops);
 
-/// Runtime-dispatched batch chase: AVX2 when available and allowed,
-/// scalar lockstep otherwise.
+/// Runtime-dispatched batch chase: AVX2 when available, scalar lockstep
+/// otherwise.
 inline void chaseBatch(const PackedRouteColumn& column, const NodeId* sources,
                        std::size_t count, std::size_t maxSteps,
-                       ServeStatus* status, std::int32_t* hops,
-                       bool allowSimd = true) {
-  if (allowSimd && chaseBatchSimdAvailable()) {
+                       ServeStatus* status, std::int32_t* hops) {
+  if (chaseBatchSimdAvailable()) {
     chaseBatchAvx2(column, sources, count, maxSteps, status, hops);
   } else {
     chaseBatchScalar(column, sources, count, maxSteps, status, hops);

@@ -1,14 +1,16 @@
-// 3-bit packed next-hop columns: the cache-half-sized serving encoding.
+// 3-bit packed next-hop columns: the route service's only resident
+// column encoding.
 //
 // A RouteColumn entry has exactly five states (four Dir values plus
 // kNoRoute), which fit in 3 bits; PackedRouteColumn stores two entries
 // per byte (low and high nibble, 3 payload bits each), halving the cache
 // footprint of every column an epoch carries — a 64x64 column drops from
 // 4 KiB to 2 KiB, so a whole destination group's chases run out of L1.
-// The packed column compiles FROM a RouteColumn and patches through the
-// same firstHopByte() helper the dense encoding uses, so the two
-// encodings are bit-identical by construction (and by differential test:
-// tests/packed_column_test.cpp).
+// The packed column compiles FROM a RouteColumn (the dense form is
+// compile scratch, TableizedRouter's column and the tests' reference) and
+// patches through the same firstHopByte() helper the dense encoding uses,
+// so the two encodings are bit-identical by construction (and by
+// differential test: tests/packed_column_test.cpp).
 //
 // Each column also carries its chase hop bound: the longest terminating
 // chase (delivered or no-route) over the column, derived during
@@ -23,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <variant>
 #include <vector>
 
 #include "fault/fault_set.h"
@@ -34,8 +35,7 @@ namespace meshrt {
 /// Compiled next hops toward one destination, two 3-bit entries per
 /// byte. Immutable once handed to readers; patched() produces the
 /// successor version for a fault delta — the same contract as
-/// RouteColumn (chaseUpstream works on it unchanged, the service's COW
-/// column page table never sees the difference).
+/// RouteColumn (chaseColumn and chaseUpstream work on it unchanged).
 class PackedRouteColumn {
  public:
   /// Raw nibble value standing for RouteColumn::kNoRoute (Dir values
@@ -110,22 +110,5 @@ class PackedRouteColumn {
 PackedRouteColumn compilePackedRouteColumn(Router& router,
                                            const FaultSet& faults,
                                            Point dest);
-
-/// One compiled column in either encoding. A service compiles exactly
-/// one alternative (ServiceConfig::encoding) and patches preserve it, so
-/// the COW column page table stores shared_ptr<const ColumnVariant>
-/// slots. Under a column byte budget a Dense-encoded service's cache may
-/// DEMOTE resident dense columns to packed (the preferred resident
-/// encoding — half the bytes, identical entries by the shared
-/// firstHopByte construction), so an epoch chain can carry both
-/// alternatives; every serve path dispatches per slot via std::visit,
-/// and the lockstep batch engine only runs in non-Dense configurations,
-/// where demotion is a no-op.
-using ColumnVariant = std::variant<RouteColumn, PackedRouteColumn>;
-
-/// Resident bytes of a column in either encoding.
-inline std::size_t columnSizeBytes(const ColumnVariant& column) {
-  return std::visit([](const auto& c) { return c.sizeBytes(); }, column);
-}
 
 }  // namespace meshrt

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -83,7 +82,7 @@ ServiceFleet::ServiceFleet(const FaultSet& initial, FleetConfig cfg)
   planCacheMisses_ = reg.counter("fleet.plan_cache_misses");
   planInvalidations_ = reg.counter("fleet.plan_invalidations");
   planner_ = std::make_unique<StitchPlanner>(
-      layout_, cfg_.stitchPlan,
+      layout_, StitchPlanMode::Hierarchical,
       StitchPlannerCounters{borderBuilds_, borderReuses_, planCacheHits_,
                             planCacheMisses_, planInvalidations_});
   serveNs_ = telemetry.stageHistogram("fleet.serve_ns");
@@ -882,9 +881,8 @@ void ServiceFleet::serveCross(StitchPlanner::Session& session,
       // position). Within a coarse distance band, portal anchors sort
       // first (FleetConfig::portalSpacing): fewer distinct exit cells
       // means fewer waypoint columns to compile and patch per epoch.
-      // The positional tie-break matches the flat graph's global-index
-      // tie-break bit-for-bit: within one border, flat global indices
-      // ascend in crossing-list order.
+      // The positional tie-break is crossing-list order, the order the
+      // BoundaryWaypointGraph oracle indexes a border in.
       const Coord spacing = cfg_.portalSpacing;
       const auto nonAnchor = [&](std::size_t wi) {
         if (spacing <= 0) return false;
@@ -893,8 +891,21 @@ void ServiceFleet::serveCross(StitchPlanner::Session& session,
       };
       const Distance band =
           spacing > 0 ? static_cast<Distance>(2 * spacing) : 1;
-      std::vector<std::size_t> order(candidates.size());
-      std::iota(order.begin(), order.end(), std::size_t{0});
+      // The planner probes each crossing cell in its owner's pinned view
+      // only. Mid-apply, the other side's halo replica can still
+      // disagree (a queued event has reached one covering shard but not
+      // the other), and the crossing hop must be healthy in both epochs
+      // it joins — so a candidate either side still sees faulty is
+      // skipped before it can take a retry slot.
+      std::vector<std::size_t> order;
+      order.reserve(candidates.size());
+      for (std::size_t wi = 0; wi < candidates.size(); ++wi) {
+        if (faultyIn(kn, cellIn(candidates[wi])) ||
+            faultyIn(k, cellAcross(candidates[wi]))) {
+          continue;
+        }
+        order.push_back(wi);
+      }
       std::sort(order.begin(), order.end(),
                 [&](std::size_t a, std::size_t b) {
                   const Distance sa = manhattan(cellAcross(candidates[a]), q.d);

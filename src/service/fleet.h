@@ -11,7 +11,7 @@
 //     touch, any path the shard serves is valid in the global mesh; on
 //     border-clear fault configurations (shardBorderClear) the answer is
 //     bit-for-bit the single-service answer (DESIGN.md section 11.3).
-//   - cross-shard: planned over the BoundaryWaypointGraph (a BFS on the
+//   - cross-shard: planned by the StitchPlanner (a BFS on the epoch-cached
 //     healthy-border shard adjacency), then stitched from per-shard
 //     segment chases. Every segment runs against its shard's pinned
 //     epoch; crossing cells are healthy in the pinned epochs of BOTH
@@ -53,6 +53,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <functional>
 #include <memory>
@@ -61,7 +62,6 @@
 #include <vector>
 
 #include "mesh/shard_layout.h"
-#include "route/waypoint_graph.h"
 #include "service/route_service.h"
 #include "service/stitch_planner.h"
 
@@ -189,13 +189,6 @@ struct FleetConfig {
   /// through a few portals per border bounds both. 0 disables
   /// anchoring. Paths stay valid and at most one band longer.
   Coord portalSpacing = 8;
-  /// Cross-shard planning strategy (service/stitch_planner.h):
-  /// Hierarchical plans over the epoch-cached shard-adjacency supergraph
-  /// and materializes only the borders a shard path crosses; Flat keeps
-  /// the PR-7 per-batch full-graph rebuild as the A/B baseline. Both
-  /// produce identical stitched results on identical pinned views (the
-  /// StitchPlan differential suite certifies it).
-  StitchPlanMode stitchPlan = StitchPlanMode::Hierarchical;
   /// Test seam: called by shard k's applier thread before each event is
   /// applied (a Gate here stalls exactly one shard's writer).
   std::function<void(std::size_t shard)> applyHook;
@@ -276,8 +269,7 @@ struct FleetCounters {
   std::uint64_t deadlineQueries = 0;
   /// Queries failed by a throwing shard serve (kFleetFlagError).
   std::uint64_t serveErrors = 0;
-  /// Border scans by the stitch planner (flat: one full-graph build per
-  /// cross-batch counts every border; hierarchical: lazy per-border).
+  /// Border scans by the stitch planner (lazy, per border-epoch pair).
   std::uint64_t borderBuilds = 0;
   /// Borders answered from the epoch-keyed cache without a scan.
   std::uint64_t borderReuses = 0;
@@ -500,8 +492,8 @@ class ServiceFleet {
   FleetConfig cfg_;
   ShardLayout layout_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Cross-shard planner (mode cfg_.stitchPlan); its epoch-keyed caches
-  /// persist across batches and are invalidated by border-epoch bumps.
+  /// Cross-shard planner; its epoch-keyed caches persist across batches
+  /// and are invalidated by border-epoch bumps.
   std::unique_ptr<StitchPlanner> planner_;
 
   /// Fleet-wide teardown flag: cuts injected applier stalls short and

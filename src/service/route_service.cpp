@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <variant>
 
 #include "route/batch_chase.h"
 
@@ -45,7 +44,6 @@ RouteService::RouteService(const FaultSet& initial, ServiceConfig cfg)
   queriesServed_ = reg.counter("service.queries_served");
   chasesDiverged_ = reg.counter("service.chases_diverged");
   columnsEvicted_ = reg.counter("service.columns.evicted");
-  columnsDemoted_ = reg.counter("service.columns.demoted");
   columnsRecompiled_ = reg.counter("service.columns.recompiled");
   columnsResident_ = reg.gauge("service.columns.resident");
   columnBytes_ = reg.gauge("service.column_bytes");
@@ -125,11 +123,9 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   std::uint64_t swapT0 = timeSwap ? telemetryNowNs() : 0;
   // The capture shares COW pages with the writer's state AND inherits the
   // previous epoch's column table (another page-table copy), so building
-  // the snapshot is O(pages), not O(mesh). The deep-clone baseline then
-  // force-detaches every page — the pre-COW cost profile, for A/B runs.
+  // the snapshot is O(pages), not O(mesh).
   auto next = std::make_unique<ServiceSnapshot>(
       current->epoch() + 1, model_, knowledge_.get(), current.get());
-  if (cfg_.storage == SnapshotStorage::DeepClone) next->detachAllPages();
   if (timeSwap) swapNs += telemetryNowNs() - swapT0;
 
   TraceSpan columnPatchSpan(publishColumnPatchNs_.get());
@@ -145,7 +141,7 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   masked.erase(std::unique(masked.begin(), masked.end()), masked.end());
 
   const std::vector<NodeId> present = next->presentColumns();
-  const std::vector<const ColumnVariant*> oldColumns =
+  const std::vector<const PackedRouteColumn*> oldColumns =
       next->columnsFor(present);
   std::atomic<std::uint64_t> carried{0};
   std::atomic<std::uint64_t> entries{0};
@@ -168,9 +164,7 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
       work[k].drop = true;
       return;
     }
-    auto cells = std::visit(
-        [&](const auto& c) { return chaseUpstream(c, snap.mesh(), masked); },
-        *oldColumns[k]);
+    auto cells = chaseUpstream(*oldColumns[k], snap.mesh(), masked);
     if (cells.empty()) {
       carried.fetch_add(1);  // the inherited column stands as-is
       return;
@@ -195,17 +189,9 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   forEachWithChunkRouter(snap, work.size(), [&](Router& router,
                                                 std::size_t i) {
     const auto old = snap.column(work[i].id);
-    // patched() keeps the slot's alternative: a dense column patches to a
-    // dense successor, a packed one to a packed successor (with its hop
-    // bound re-derived) — both through the same firstHopByte helper.
-    auto successor = std::visit(
-        [&](const auto& c) {
-          return ColumnVariant(c.patched(router, snap.faults(),
-                                         work[i].cells));
-        },
-        *old);
-    snap.replaceColumn(work[i].id, std::make_shared<const ColumnVariant>(
-                                       std::move(successor)));
+    snap.replaceColumn(work[i].id,
+                       std::make_shared<const PackedRouteColumn>(old->patched(
+                           router, snap.faults(), work[i].cells)));
   });
   columnPatchSpan.stop();
   if (carried.load() != 0) columnsCarried_->add(carried.load());
@@ -260,21 +246,13 @@ void RouteService::forEachWithChunkRouter(
 
 void RouteService::compileColumns(const ServiceSnapshot& snap,
                                   std::vector<NodeId> dests) {
-  const bool packed = cfg_.encoding != ColumnEncoding::Dense;
   forEachWithChunkRouter(snap, dests.size(), [&](Router& router,
                                                  std::size_t i) {
     const Point dest = snap.mesh().point(dests[i]);
-    // Both encodings flow through the same dense compile, so their
-    // entries are bit-identical by construction; packing afterwards only
-    // changes the storage format (and derives the chase hop bound).
-    RouteColumn dense = compileRouteColumn(router, snap.faults(), dest);
-    auto slot =
-        packed ? std::make_shared<const ColumnVariant>(
-                     std::in_place_type<PackedRouteColumn>, dense,
-                     snap.mesh())
-               : std::make_shared<const ColumnVariant>(
-                     std::in_place_type<RouteColumn>, std::move(dense));
-    snap.installColumn(dests[i], std::move(slot));
+    snap.installColumn(dests[i],
+                       std::make_shared<const PackedRouteColumn>(
+                           compilePackedRouteColumn(router, snap.faults(),
+                                                    dest)));
     columnsCompiled_->add(1);
     // A compile that refills an evicted slot is the budget's extra work;
     // fetch_and hands the bit to exactly one concurrent compiler.
@@ -286,8 +264,9 @@ void RouteService::compileColumns(const ServiceSnapshot& snap,
   });
 }
 
-std::vector<std::shared_ptr<const ColumnVariant>> RouteService::pinOrCompile(
-    const ServiceSnapshot& snap, const std::vector<NodeId>& dests) {
+std::vector<std::shared_ptr<const PackedRouteColumn>>
+RouteService::pinOrCompile(const ServiceSnapshot& snap,
+                           const std::vector<NodeId>& dests) {
   auto pins = snap.pinColumns(dests);
   const bool budget = cachePolicy_.active();
   for (int attempt = 0; attempt < 4; ++attempt) {
@@ -311,22 +290,14 @@ std::vector<std::shared_ptr<const ColumnVariant>> RouteService::pinOrCompile(
     // Terminal fallback: compile batch-local columns WITHOUT installing
     // them — nothing can evict what the table never held, so the batch
     // makes progress no matter how hot the sweep runs. Identical bytes
-    // to an installed compile (same dense compile, same packing).
-    const bool packed = cfg_.encoding != ColumnEncoding::Dense;
-    std::vector<std::shared_ptr<const ColumnVariant>> local(
+    // to an installed compile (same compilePackedRouteColumn).
+    std::vector<std::shared_ptr<const PackedRouteColumn>> local(
         stragglers.size());
     forEachWithChunkRouter(
         snap, stragglers.size(), [&](Router& router, std::size_t i) {
           const Point dest = snap.mesh().point(dests[stragglers[i]]);
-          RouteColumn dense =
-              compileRouteColumn(router, snap.faults(), dest);
-          local[i] =
-              packed ? std::make_shared<const ColumnVariant>(
-                           std::in_place_type<PackedRouteColumn>, dense,
-                           snap.mesh())
-                     : std::make_shared<const ColumnVariant>(
-                           std::in_place_type<RouteColumn>,
-                           std::move(dense));
+          local[i] = std::make_shared<const PackedRouteColumn>(
+              compilePackedRouteColumn(router, snap.faults(), dest));
         });
     for (std::size_t i = 0; i < stragglers.size(); ++i) {
       pins[stragglers[i]] = std::move(local[i]);
@@ -341,7 +312,6 @@ std::vector<std::shared_ptr<const ColumnVariant>> RouteService::pinOrCompile(
 void RouteService::maybeEnforceBudget(const ServiceSnapshot& snap) {
   const ColumnEvictStats stats = snap.enforceColumnBudget(cachePolicy_);
   if (stats.evicted != 0) columnsEvicted_->add(stats.evicted);
-  if (stats.demoted != 0) columnsDemoted_->add(stats.demoted);
   columnsResident_->set(static_cast<std::int64_t>(stats.residentCount));
   columnBytes_->set(static_cast<std::int64_t>(stats.residentBytes));
 }
@@ -374,9 +344,8 @@ BatchResult RouteService::serveOn(
   // dispatch below: a handful of linear dedups and inline scalar chases
   // cost microseconds where zeroing two nodeCount-sized vectors and a
   // parallelFor round-trip cost hundreds per call. Outcomes are
-  // identical to the lockstep path (the encodings share one dense
-  // compile, and scalar-vs-lockstep chase parity is pinned by the
-  // packed-column tests).
+  // identical to the lockstep path (scalar-vs-lockstep chase parity is
+  // pinned by the packed-column tests).
   constexpr std::size_t kInlineBatch = 8;
   if (batch.size() <= kInlineBatch) {
     TraceSpan classifySpan(serveClassifyNs_.get());
@@ -400,7 +369,7 @@ BatchResult RouteService::serveOn(
     // Owning pins instead of raw pointers: under a column budget a sweep
     // can null a slot mid-batch, but it can never reclaim a column this
     // batch holds a handle to.
-    std::vector<std::shared_ptr<const ColumnVariant>> resolved;
+    std::vector<std::shared_ptr<const PackedRouteColumn>> resolved;
     {
       TraceSpan compileSpan(serveCompileNs_.get());
       resolved = pinOrCompile(*snap, dests);
@@ -425,25 +394,18 @@ BatchResult RouteService::serveOn(
         continue;
       }
       const NodeId id = m.id(q.d);
-      const ColumnVariant* column = nullptr;
+      const PackedRouteColumn* column = nullptr;
       for (std::size_t d = 0; d < dests.size(); ++d) {
         if (dests[d] == id) {
           column = resolved[d].get();
           break;
         }
       }
-      ServedRoute res = std::visit(
-          [&](const auto& c) {
-            // Without paths, mirror the lockstep engine's tight packed
-            // hop bound: a diverging chase then stops after the proven
-            // delivery bound instead of walking nodeCount steps.
-            std::size_t steps = bound;
-            if constexpr (requires { c.hopBound(); }) {
-              if (!wantPaths) steps = c.hopBound();
-            }
-            return chaseColumn(c, m, q.s, steps, wantPaths);
-          },
-          *column);
+      // Without paths, mirror the lockstep engine's tight hop bound: a
+      // diverging chase then stops after the proven delivery bound
+      // instead of walking nodeCount steps.
+      const std::size_t steps = wantPaths ? bound : column->hopBound();
+      ServedRoute res = chaseColumn(*column, m, q.s, steps, wantPaths);
       out.status[i] = res.status;
       if (res.status == ServeStatus::Delivered) {
         out.hops[i] = static_cast<std::int32_t>(res.hops);
@@ -459,12 +421,10 @@ BatchResult RouteService::serveOn(
     return out;
   }
 
-  // The lockstep engines produce status+hops only; whenever paths are
-  // wanted (or the table is dense) every query chases through the scalar
-  // template with the nodeCount bound, which keeps attempted-path
-  // prefixes of Diverged chases identical across encodings.
-  const bool lockstep =
-      cfg_.encoding != ColumnEncoding::Dense && !wantPaths;
+  // The lockstep engines produce status+hops only; when paths are wanted
+  // every query chases through the scalar template with the nodeCount
+  // bound, so a Diverged chase reports its full attempted-path prefix.
+  const bool lockstep = !wantPaths;
 
   // One classification pass: dedup the destinations that need a column
   // (healthy endpoints, non-self) and — on the lockstep path — retire
@@ -538,12 +498,12 @@ BatchResult RouteService::serveOn(
   // ours alone — after it returns, every requested column is pinned (an
   // installed one, or a batch-local fallback compile under a hot
   // eviction sweep), so a chase can never see a null column.
-  std::vector<std::shared_ptr<const ColumnVariant>> pinned;
+  std::vector<std::shared_ptr<const PackedRouteColumn>> pinned;
   {
     TraceSpan compileSpan(serveCompileNs_.get());
     pinned = pinOrCompile(*snap, dests);
   }
-  std::vector<const ColumnVariant*> byDest(
+  std::vector<const PackedRouteColumn*> byDest(
       static_cast<std::size_t>(m.nodeCount()), nullptr);
   for (std::size_t i = 0; i < dests.size(); ++i) {
     byDest[static_cast<std::size_t>(dests[i])] = pinned[i].get();
@@ -562,26 +522,22 @@ BatchResult RouteService::serveOn(
       }
       if (faults.isFaulty(q.s) || faults.isFaulty(q.d)) {
         out.status[i] = ServeStatus::EndpointFaulty;
-        if (wantPaths) out.paths[i].push_back(q.s);
+        out.paths[i].push_back(q.s);
         return;
       }
       if (q.s == q.d) {
         out.status[i] = ServeStatus::Delivered;
-        if (wantPaths) out.paths[i].push_back(q.s);
+        out.paths[i].push_back(q.s);
         return;
       }
-      const ColumnVariant* column =
-          byDest[static_cast<std::size_t>(m.id(q.d))];
-      ServedRoute res = std::visit(
-          [&](const auto& c) {
-            return chaseColumn(c, m, q.s, maxSteps, wantPaths);
-          },
-          *column);
+      ServedRoute res =
+          chaseColumn(*byDest[static_cast<std::size_t>(m.id(q.d))], m, q.s,
+                      maxSteps, /*wantPath=*/true);
       out.status[i] = res.status;
       if (res.status == ServeStatus::Delivered) {
         out.hops[i] = static_cast<std::int32_t>(res.hops);
       }
-      if (wantPaths) out.paths[i] = std::move(res.path);
+      out.paths[i] = std::move(res.path);
       if (res.status == ServeStatus::Diverged) diverged.fetch_add(1);
     });
     chaseSpan.stop();
@@ -635,13 +591,11 @@ BatchResult RouteService::serveOn(
     const std::uint32_t begin = groupStart[di];
     const std::uint32_t end = begin + countByDest[di];
     if (begin == end) continue;
-    const auto* column =
-        std::get_if<PackedRouteColumn>(byDest[di]);
+    const PackedRouteColumn* column = byDest[di];
     for (std::uint32_t b = begin; b < end; b += kChunk) {
       jobs.push_back(ChaseJob{column, b, std::min(end, b + kChunk)});
     }
   }
-  const bool allowSimd = cfg_.encoding == ColumnEncoding::Packed;
   std::vector<ServeStatus> groupStatus(chaseable);
   std::vector<std::int32_t> groupHops(chaseable, 0);
   parallelFor(pool_, jobs.size(), [&](std::size_t j) {
@@ -657,7 +611,7 @@ BatchResult RouteService::serveOn(
     }
     chaseBatch(*job.column, srcIds.data() + job.begin, job.end - job.begin,
                job.column->hopBound(), groupStatus.data() + job.begin,
-               groupHops.data() + job.begin, allowSimd);
+               groupHops.data() + job.begin);
     std::uint64_t localDiverged = 0;
     for (std::uint32_t p = job.begin; p < job.end; ++p) {
       const std::uint32_t qi = queryOf[p];
@@ -699,7 +653,6 @@ ServiceCounters RouteService::counters() const {
   c.queriesServed = queriesServed_->value();
   c.chasesDiverged = chasesDiverged_->value();
   c.columnsEvicted = columnsEvicted_->value();
-  c.columnsDemoted = columnsDemoted_->value();
   c.columnsRecompiled = columnsRecompiled_->value();
   return c;
 }

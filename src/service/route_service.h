@@ -36,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/epoch.h"
@@ -46,49 +45,8 @@
 
 namespace meshrt {
 
-/// How epoch snapshots capture the writer's state.
-enum class SnapshotStorage : std::uint8_t {
-  /// Copy-on-write paged sharing (the default): publishing costs
-  /// O(pages touched by the delta).
-  Cow = 0,
-  /// Every page force-detached after capture — the pre-COW deep clone's
-  /// O(mesh) cost profile, kept as an honest same-binary A/B baseline
-  /// for benches and regression tests.
-  DeepClone = 1,
-};
-
-constexpr std::string_view snapshotStorageName(SnapshotStorage s) {
-  return s == SnapshotStorage::Cow ? "cow" : "deep";
-}
-
-/// How epoch snapshots encode compiled columns and serve batches from
-/// them. All three modes produce bit-identical serve results (the
-/// differential suites in tests/packed_column_test.cpp enforce it); they
-/// differ only in footprint and throughput.
-enum class ColumnEncoding : std::uint8_t {
-  /// Byte-per-node RouteColumn, per-query scalar chases — the pre-SIMD
-  /// serve path, kept as a same-binary A/B baseline.
-  Dense = 0,
-  /// 3-bit PackedRouteColumn (half the cache footprint), batched queries
-  /// chased in 8-lane lockstep per destination group, AVX2 gather lanes
-  /// when the CPU has them (the default).
-  Packed = 1,
-  /// Packed columns with the SIMD dispatch forced off: the portable
-  /// scalar-lockstep engine, for A/Bs and the CI differential jobs.
-  PackedScalar = 2,
-};
-
-constexpr std::string_view columnEncodingName(ColumnEncoding e) {
-  switch (e) {
-    case ColumnEncoding::Dense:
-      return "dense";
-    case ColumnEncoding::Packed:
-      return "packed";
-    case ColumnEncoding::PackedScalar:
-      return "packed-scalar";
-  }
-  return "?";
-}
+/// Kept only because openbench/src/main.cpp sets it; no code reads it.
+enum class ColumnEncoding : std::uint8_t { Packed };
 
 struct ServiceConfig {
   /// Registry key of the router the tables compile ("rb2", "table:..."
@@ -100,9 +58,7 @@ struct ServiceConfig {
   /// rb1, {InfoModel::B3} for the rb3 family); empty skips knowledge
   /// capture entirely, which is right for rb2/ecube/optimal-class keys.
   std::vector<InfoModel> captureKnowledge;
-  /// Epoch snapshot storage mode (benches A/B the deep-clone baseline).
-  SnapshotStorage storage = SnapshotStorage::Cow;
-  /// Column encoding + batch serve engine (benches A/B dense vs packed).
+  /// Unused; see ColumnEncoding.
   ColumnEncoding encoding = ColumnEncoding::Packed;
   /// Resident column byte ceiling for the bounded column cache (0 =
   /// unbounded, the historical behavior). When set, serve tails and
@@ -160,8 +116,6 @@ struct ServiceCounters {
   std::uint64_t chasesDiverged = 0;
   /// Columns evicted by the bounded cache (0 without a budget).
   std::uint64_t columnsEvicted = 0;
-  /// Dense columns demoted to packed by the bounded cache.
-  std::uint64_t columnsDemoted = 0;
   /// Compiles that refilled a previously evicted slot (a subset of
   /// columnsCompiled — the budget's extra work, bit-identical output).
   std::uint64_t columnsRecompiled = 0;
@@ -259,8 +213,8 @@ class RouteService {
   /// between its install and our pin) and falls back to batch-local,
   /// NOT-installed compiles after a few rounds, so progress is
   /// guaranteed; results are bit-identical either way (both flow through
-  /// the same dense compile). Also sets the CLOCK ref bits.
-  std::vector<std::shared_ptr<const ColumnVariant>> pinOrCompile(
+  /// compilePackedRouteColumn). Also sets the CLOCK ref bits.
+  std::vector<std::shared_ptr<const PackedRouteColumn>> pinOrCompile(
       const ServiceSnapshot& snap, const std::vector<NodeId>& dests);
   /// Runs the eviction sweep when a budget is configured and refreshes
   /// the resident-footprint gauges (always, so unbounded runs export
@@ -295,7 +249,6 @@ class RouteService {
   std::shared_ptr<Counter> queriesServed_;
   std::shared_ptr<Counter> chasesDiverged_;
   std::shared_ptr<Counter> columnsEvicted_;
-  std::shared_ptr<Counter> columnsDemoted_;
   std::shared_ptr<Counter> columnsRecompiled_;
   /// Resident columns / bytes of the current snapshot (set-style gauges,
   /// refreshed by maybeEnforceBudget).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <variant>
 
 namespace meshrt {
 
@@ -26,18 +25,18 @@ ServiceSnapshot::ServiceSnapshot(std::uint64_t epoch,
   if (knowledge != nullptr) knowledge_ = knowledge->cloneFor(*analysis_);
 }
 
-std::shared_ptr<const ColumnVariant> ServiceSnapshot::column(
+std::shared_ptr<const PackedRouteColumn> ServiceSnapshot::column(
     NodeId dest) const {
   std::lock_guard<std::mutex> lock(columnMutex_);
   return std::as_const(columns_)[mesh().point(dest)];
 }
 
 void ServiceSnapshot::installColumn(
-    NodeId dest, std::shared_ptr<const ColumnVariant> column) const {
+    NodeId dest, std::shared_ptr<const PackedRouteColumn> column) const {
   std::lock_guard<std::mutex> lock(columnMutex_);
   auto& slot = columns_[mesh().point(dest)];
   if (!slot) {
-    residentBytes_ += columnSizeBytes(*column);
+    residentBytes_ += column->sizeBytes();
     ++residentCount_;
     slot = std::move(column);
   }
@@ -47,30 +46,30 @@ void ServiceSnapshot::dropColumn(NodeId dest) {
   std::lock_guard<std::mutex> lock(columnMutex_);
   auto& slot = columns_[mesh().point(dest)];
   if (slot) {
-    residentBytes_ -= columnSizeBytes(*slot);
+    residentBytes_ -= slot->sizeBytes();
     --residentCount_;
     slot = nullptr;
   }
 }
 
 void ServiceSnapshot::replaceColumn(
-    NodeId dest, std::shared_ptr<const ColumnVariant> column) {
+    NodeId dest, std::shared_ptr<const PackedRouteColumn> column) {
   std::lock_guard<std::mutex> lock(columnMutex_);
   auto& slot = columns_[mesh().point(dest)];
   if (slot) {
-    residentBytes_ -= columnSizeBytes(*slot);
+    residentBytes_ -= slot->sizeBytes();
     --residentCount_;
   }
   if (column) {
-    residentBytes_ += columnSizeBytes(*column);
+    residentBytes_ += column->sizeBytes();
     ++residentCount_;
   }
   slot = std::move(column);
 }
 
-std::vector<const ColumnVariant*> ServiceSnapshot::columnsFor(
+std::vector<const PackedRouteColumn*> ServiceSnapshot::columnsFor(
     const std::vector<NodeId>& dests) const {
-  std::vector<const ColumnVariant*> out;
+  std::vector<const PackedRouteColumn*> out;
   out.reserve(dests.size());
   std::lock_guard<std::mutex> lock(columnMutex_);
   for (NodeId dest : dests) {
@@ -79,9 +78,9 @@ std::vector<const ColumnVariant*> ServiceSnapshot::columnsFor(
   return out;
 }
 
-std::vector<std::shared_ptr<const ColumnVariant>> ServiceSnapshot::pinColumns(
-    const std::vector<NodeId>& dests) const {
-  std::vector<std::shared_ptr<const ColumnVariant>> out;
+std::vector<std::shared_ptr<const PackedRouteColumn>>
+ServiceSnapshot::pinColumns(const std::vector<NodeId>& dests) const {
+  std::vector<std::shared_ptr<const PackedRouteColumn>> out;
   out.reserve(dests.size());
   std::lock_guard<std::mutex> lock(columnMutex_);
   for (NodeId dest : dests) {
@@ -95,7 +94,7 @@ std::vector<NodeId> ServiceSnapshot::presentColumns() const {
   const Mesh2D& m = mesh();
   std::lock_guard<std::mutex> lock(columnMutex_);
   std::as_const(columns_).forEachAllocated(
-      [&](Point p, const std::shared_ptr<const ColumnVariant>& slot) {
+      [&](Point p, const std::shared_ptr<const PackedRouteColumn>& slot) {
         if (slot) out.push_back(m.id(p));
       });
   // forEachAllocated walks tile-major; the writer's migration order (and
@@ -108,7 +107,7 @@ std::size_t ServiceSnapshot::compiledColumns() const {
   std::size_t n = 0;
   std::lock_guard<std::mutex> lock(columnMutex_);
   std::as_const(columns_).forEachAllocated(
-      [&](Point, const std::shared_ptr<const ColumnVariant>& slot) {
+      [&](Point, const std::shared_ptr<const PackedRouteColumn>& slot) {
         n += (slot != nullptr);
       });
   return n;
@@ -125,9 +124,8 @@ ColumnEvictStats ServiceSnapshot::enforceColumnBudget(
   const Mesh2D& m = mesh();
   const auto n = static_cast<std::size_t>(m.nodeCount());
   std::size_t hand = policy.hand.load(std::memory_order_relaxed) % n;
-  // 4 passes: one may be spent clearing ref bits, one demoting dense
-  // slots (a demoted slot is CLOCK-considered on the next lap), and the
-  // bound keeps an all-pinned table from spinning forever.
+  // 4 passes: one may be spent clearing ref bits, and the bound keeps an
+  // all-pinned table from spinning forever.
   for (std::size_t step = 0;
        step < 4 * n && residentBytes_ > policy.budgetBytes; ++step) {
     const auto dest = static_cast<NodeId>(hand);
@@ -135,20 +133,6 @@ ColumnEvictStats ServiceSnapshot::enforceColumnBudget(
     const Point p = m.point(dest);
     const auto& slot = std::as_const(columns_)[p];
     if (!slot) continue;
-    if (std::holds_alternative<RouteColumn>(*slot)) {
-      // Demote before any eviction: packed is the preferred resident
-      // encoding (half the bytes, bit-identical entries), so spend the
-      // repack rather than throw compiled work away. The old dense
-      // object stays alive for any batch still pinning it.
-      const auto& dense = std::get<RouteColumn>(*slot);
-      auto packed = std::make_shared<const ColumnVariant>(
-          std::in_place_type<PackedRouteColumn>, dense, m);
-      residentBytes_ -= dense.sizeBytes();
-      residentBytes_ += columnSizeBytes(*packed);
-      columns_[p] = std::move(packed);  // detaches the page if shared
-      ++stats.demoted;
-      continue;
-    }
     auto& state = policy.state[static_cast<std::size_t>(dest)];
     if (state.load(std::memory_order_relaxed) & ColumnCachePolicy::kRefBit) {
       // Second chance: clear the ref bit, evict only if the hand comes
@@ -163,7 +147,7 @@ ColumnEvictStats ServiceSnapshot::enforceColumnBudget(
       // column — either way nulling this slot would free nothing yet.
       continue;
     }
-    residentBytes_ -= columnSizeBytes(*slot);
+    residentBytes_ -= slot->sizeBytes();
     --residentCount_;
     columns_[p] = nullptr;
     state.fetch_or(ColumnCachePolicy::kEvictedBit, std::memory_order_relaxed);
@@ -183,14 +167,6 @@ std::size_t ServiceSnapshot::residentColumnBytes() const {
 std::size_t ServiceSnapshot::residentColumnCount() const {
   std::lock_guard<std::mutex> lock(columnMutex_);
   return residentCount_;
-}
-
-void ServiceSnapshot::detachAllPages() {
-  faults_.detachPages();
-  analysis_->detachPages();
-  if (knowledge_) knowledge_->detachPages();
-  std::lock_guard<std::mutex> lock(columnMutex_);
-  columns_.detachAll();
 }
 
 }  // namespace meshrt

@@ -16,12 +16,11 @@
 // replaces inherited columns on the NOT-YET-PUBLISHED successor; a
 // published snapshot's installed column CONTENT never changes — but under
 // a column byte budget (ServiceConfig::columnBudgetBytes) a slot may be
-// evicted back to null (or a dense slot demoted to its packed twin) by
-// enforceColumnBudget(), and the column recompiles bit-identically on
-// next demand. Serve paths therefore pin owning handles via pinColumns()
-// instead of borrowing raw pointers — an evicted column stays alive for
-// exactly as long as some batch still chases it. See DESIGN.md
-// section 14.
+// evicted back to null by enforceColumnBudget(), and the column
+// recompiles bit-identically on next demand. Serve paths therefore pin
+// owning handles via pinColumns() instead of borrowing raw pointers — an
+// evicted column stays alive for exactly as long as some batch still
+// chases it. See DESIGN.md section 14.
 #pragma once
 
 #include <atomic>
@@ -78,7 +77,6 @@ struct ColumnCachePolicy {
 /// What one enforceColumnBudget() sweep did, plus the footprint after.
 struct ColumnEvictStats {
   std::size_t evicted = 0;
-  std::size_t demoted = 0;
   std::size_t residentBytes = 0;
   std::size_t residentCount = 0;
 };
@@ -107,12 +105,12 @@ class ServiceSnapshot {
 
   /// The compiled column for destination id, or null when not yet
   /// compiled. Thread-safe.
-  std::shared_ptr<const ColumnVariant> column(NodeId dest) const;
+  std::shared_ptr<const PackedRouteColumn> column(NodeId dest) const;
 
   /// Installs a compiled column; the first install wins (concurrent
   /// compilers produce identical content, so dropping the loser is safe).
   void installColumn(NodeId dest,
-                     std::shared_ptr<const ColumnVariant> column) const;
+                     std::shared_ptr<const PackedRouteColumn> column) const;
 
   /// Writer-side, pre-publish only: removes an inherited column whose
   /// destination died with this epoch's event.
@@ -120,14 +118,15 @@ class ServiceSnapshot {
 
   /// Writer-side, pre-publish only: swaps in the patched successor of an
   /// inherited column (unlike installColumn, an existing slot LOSES).
-  void replaceColumn(NodeId dest, std::shared_ptr<const ColumnVariant> column);
+  void replaceColumn(NodeId dest,
+                     std::shared_ptr<const PackedRouteColumn> column);
 
   /// Raw column pointers for `dests`, in order (null where missing),
   /// resolved under one lock so a serve loop can run lock-free against
   /// pointers pinned by the snapshot handle it holds. Only safe when no
   /// column budget is active — eviction can null a slot mid-serve, so
   /// budget-aware paths must use pinColumns() instead.
-  std::vector<const ColumnVariant*> columnsFor(
+  std::vector<const PackedRouteColumn*> columnsFor(
       const std::vector<NodeId>& dests) const;
 
   /// Owning handles for `dests`, in order (null where missing), resolved
@@ -136,7 +135,7 @@ class ServiceSnapshot {
   /// never evicted mid-serve" means operationally: the sweep skips slots
   /// with outstanding pins, and even if a later sweep drops the slot, the
   /// batch's handle keeps the bytes alive until it drains.
-  std::vector<std::shared_ptr<const ColumnVariant>> pinColumns(
+  std::vector<std::shared_ptr<const PackedRouteColumn>> pinColumns(
       const std::vector<NodeId>& dests) const;
 
   /// Destination ids with a compiled column, ascending — what the writer
@@ -147,36 +146,15 @@ class ServiceSnapshot {
   /// Number of compiled columns right now.
   std::size_t compiledColumns() const;
 
-  /// Forces every paged grid of the capture unique — the pre-COW deep
-  /// clone's cost profile, kept as an A/B baseline
-  /// (ServiceConfig::storage, bench/service_churn_qps --storage deep).
-  void detachAllPages();
-
-  /// The raw paged column table, for page-sharing stats. Only meaningful
-  /// on quiescent snapshots (tests/benches): lazy compiles mutate it
-  /// under the column mutex.
-  const PagedGrid<std::shared_ptr<const ColumnVariant>>& columnPages() const {
-    return columns_;
-  }
-
-  /// A page-table copy taken under the lock: what a successor epoch
-  /// inherits (O(pages), shares every tile).
-  PagedGrid<std::shared_ptr<const ColumnVariant>> columnPagesLocked() const {
-    std::lock_guard<std::mutex> lock(columnMutex_);
-    return columns_;
-  }
-
-  /// Evicts (and demotes) columns until the resident footprint fits
-  /// policy.budgetBytes, CLOCK second-chance order from the persisted
-  /// hand. Dense slots are demoted to their packed twin first (half the
-  /// bytes, identical entries by the shared firstHopByte construction);
-  /// packed slots with the ref bit get a second chance; slots with
-  /// outstanding pins (batch handles, or pages still shared with a
-  /// not-yet-drained neighbor epoch, where eviction would free nothing)
-  /// are skipped. Bounded at 4 passes over the table, so an all-pinned
-  /// table degrades to best-effort instead of spinning. No-op when the
-  /// policy is inactive or the footprint already fits. Thread-safe;
-  /// callable on a published snapshot (see the header comment).
+  /// Evicts columns until the resident footprint fits policy.budgetBytes,
+  /// in CLOCK second-chance order from the persisted hand. Slots with the
+  /// ref bit get a second chance; slots with outstanding pins (batch
+  /// handles, or pages still shared with a not-yet-drained neighbor
+  /// epoch, where eviction would free nothing) are skipped. Bounded at 4
+  /// passes over the table, so an all-pinned table degrades to
+  /// best-effort instead of spinning. No-op when the policy is inactive
+  /// or the footprint already fits. Thread-safe; callable on a published
+  /// snapshot (see the header comment).
   ColumnEvictStats enforceColumnBudget(ColumnCachePolicy& policy) const;
 
   /// Resident column payload bytes / count right now (maintained by
@@ -194,7 +172,7 @@ class ServiceSnapshot {
   mutable std::mutex columnMutex_;
   /// Dest-indexed (row-major point of the dest id) COW pages of column
   /// pointers; shared with the predecessor epoch until written.
-  mutable PagedGrid<std::shared_ptr<const ColumnVariant>> columns_;
+  mutable PagedGrid<std::shared_ptr<const PackedRouteColumn>> columns_;
   /// Footprint of non-null slots, the eviction budget's currency. Guarded
   /// by columnMutex_ like the table itself.
   mutable std::size_t residentBytes_ = 0;

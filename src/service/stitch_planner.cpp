@@ -13,9 +13,9 @@ void bump(const std::shared_ptr<Counter>& c, std::uint64_t n = 1) {
 
 }  // namespace
 
-StitchPlanner::StitchPlanner(const ShardLayout& layout, StitchPlanMode mode,
+StitchPlanner::StitchPlanner(const ShardLayout& layout, StitchPlanMode,
                              StitchPlannerCounters counters)
-    : layout_(&layout), mode_(mode), counters_(std::move(counters)) {
+    : layout_(&layout), counters_(std::move(counters)) {
   const std::size_t count = layout.shardCount();
   // Same canonical enumeration order as the flat graph's ctor (from
   // ascending, neighbors ascending, each border once): keys come out
@@ -61,18 +61,8 @@ StitchPlanner::Session::Session(StitchPlanner& owner,
                                 std::vector<std::uint64_t> borderEpochs)
     : owner_(&owner),
       healthy_(std::move(healthy)),
-      epochs_(std::move(borderEpochs)) {
-  if (owner_->mode_ == StitchPlanMode::Flat) {
-    // The PR-7 baseline: one eager full-graph build per batch, which
-    // scans every border — the counter charge hierarchical mode's lazy
-    // materialization is measured against.
-    flat_ = std::make_unique<BoundaryWaypointGraph>(*owner_->layout_,
-                                                    healthy_);
-    bump(owner_->counters_.borderBuilds, owner_->borderShards_.size());
-  } else {
-    resolved_.resize(owner_->borderShards_.size());
-  }
-}
+      epochs_(std::move(borderEpochs)),
+      resolved_(owner.borderShards_.size()) {}
 
 const StitchPlanner::BorderEntry& StitchPlanner::Session::entry(
     std::size_t idx, bool needFull) {
@@ -120,17 +110,6 @@ bool StitchPlanner::Session::adjacent(std::size_t a, std::size_t b) {
 const std::vector<StitchPlanner::Waypoint>& StitchPlanner::Session::crossings(
     std::size_t k, std::size_t kn) {
   static const std::vector<Waypoint> kEmpty;
-  if (flat_) {
-    const std::size_t key =
-        std::min(k, kn) * owner_->layout_->shardCount() + std::max(k, kn);
-    const auto it = flatBorders_.find(key);
-    if (it != flatBorders_.end()) return it->second;
-    std::vector<Waypoint> list;
-    for (const std::size_t w : flat_->border(k, kn)) {
-      list.push_back(flat_->waypoint(w));
-    }
-    return flatBorders_.emplace(key, std::move(list)).first->second;
-  }
   const std::size_t idx = owner_->borderIndex(k, kn);
   if (idx == owner_->borderShards_.size()) return kEmpty;
   return entry(idx, /*needFull=*/true).crossings;
@@ -139,7 +118,6 @@ const std::vector<StitchPlanner::Waypoint>& StitchPlanner::Session::crossings(
 std::vector<std::size_t> StitchPlanner::Session::shardPath(
     std::size_t from, std::size_t to,
     const std::vector<std::pair<std::size_t, std::size_t>>* blockedBorders) {
-  if (flat_) return flat_->shardPath(from, to, blockedBorders);
   if (from == to) return {from};
 
   const bool cacheable = blockedBorders == nullptr;

@@ -35,9 +35,8 @@
 // stitched segment is still validated against its shard's pinned epoch
 // at serve time, so a stale entry (the bounded mid-apply sampling race —
 // see fleet.cpp's border-epoch bumps) costs retries, never correctness.
-// StitchPlanMode::Flat keeps the PR-7 behavior — an eagerly built
-// BoundaryWaypointGraph per batch, no caching — as the A/B baseline and
-// the differential-test oracle. See DESIGN.md section 14.
+// The flat BoundaryWaypointGraph is this planner's test oracle
+// (tests/stitch_planner_test.cpp). See DESIGN.md section 14.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +44,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -55,30 +53,8 @@
 
 namespace meshrt {
 
-enum class StitchPlanMode : std::uint8_t {
-  /// Rebuild the full boundary waypoint graph per batch (PR-7 behavior).
-  Flat = 0,
-  /// Supergraph BFS + lazy borders + epoch-keyed caches (the default).
-  Hierarchical = 1,
-};
-
-constexpr std::string_view stitchPlanModeName(StitchPlanMode m) {
-  return m == StitchPlanMode::Flat ? "flat" : "hier";
-}
-
-/// Inverse of stitchPlanModeName (bench/CLI parsing). Returns false on an
-/// unknown name, leaving *out untouched.
-inline bool parseStitchPlanMode(std::string_view name, StitchPlanMode* out) {
-  if (name == stitchPlanModeName(StitchPlanMode::Flat)) {
-    *out = StitchPlanMode::Flat;
-    return true;
-  }
-  if (name == stitchPlanModeName(StitchPlanMode::Hierarchical)) {
-    *out = StitchPlanMode::Hierarchical;
-    return true;
-  }
-  return false;
-}
+/// Kept only because openbench/src/main.cpp passes it; no code reads it.
+enum class StitchPlanMode : std::uint8_t { Hierarchical };
 
 /// Registry instruments the planner reports into (owned by the fleet;
 /// null pointers are allowed and skip the count).
@@ -96,8 +72,6 @@ class StitchPlanner {
 
   StitchPlanner(const ShardLayout& layout, StitchPlanMode mode,
                 StitchPlannerCounters counters);
-
-  StitchPlanMode mode() const { return mode_; }
 
   /// One resolved border: epoch-stamped adjacency, optionally upgraded
   /// with the full healthy crossing list. Immutable once published.
@@ -145,13 +119,8 @@ class StitchPlanner {
     StitchPlanner* owner_;
     std::function<bool(Point)> healthy_;
     std::vector<std::uint64_t> epochs_;
-    /// Flat mode: the eager per-batch graph (null in hierarchical mode).
-    std::unique_ptr<BoundaryWaypointGraph> flat_;
-    /// Flat mode: per-border Waypoint lists copied out of flat_ so both
-    /// modes hand serveCross the same reference type.
-    std::map<std::size_t, std::vector<Waypoint>> flatBorders_;
-    /// Hierarchical mode: per-session resolved entries (one shared-cache
-    /// lock per border per batch, not per query).
+    /// Per-session resolved entries (one shared-cache lock per border per
+    /// batch, not per query).
     std::vector<std::shared_ptr<const BorderEntry>> resolved_;
   };
 
@@ -177,7 +146,6 @@ class StitchPlanner {
       std::uint64_t epochA, std::uint64_t epochB, bool full) const;
 
   const ShardLayout* layout_;
-  StitchPlanMode mode_;
   StitchPlannerCounters counters_;
   /// Canonical borders, ascending (minShard * shardCount + maxShard).
   std::vector<std::size_t> borderKeys_;

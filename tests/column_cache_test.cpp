@@ -2,9 +2,9 @@
 // ColumnCachePolicy + enforceColumnBudget, wired through RouteService's
 // pin-or-compile serve path). The budget is a pure footprint knob: every
 // test here asserts that a tightly budgeted service serves bit-identical
-// results to an unbounded one — across registry keys, column encodings,
-// and live churn — while its eviction/demotion/recompile counters prove
-// the budget actually did something. DESIGN.md section 14.
+// results to an unbounded one — across registry keys and live churn —
+// while its eviction/recompile counters prove the budget actually did
+// something. DESIGN.md section 14.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,12 +20,10 @@
 namespace meshrt {
 namespace {
 
-ServiceConfig cacheConfig(const std::string& key, ColumnEncoding encoding,
-                          std::size_t budgetBytes) {
+ServiceConfig cacheConfig(const std::string& key, std::size_t budgetBytes) {
   ServiceConfig cfg;
   cfg.routerKey = key;
   cfg.threads = 2;
-  cfg.encoding = encoding;
   cfg.columnBudgetBytes = budgetBytes;
   return cfg;
 }
@@ -68,60 +66,53 @@ void expectIdenticalResults(const BatchResult& a, const BatchResult& b) {
 /// Byte-level image of one compiled column: next() over every node. Two
 /// columns with equal images serve identically by construction
 /// (chaseColumn reads nothing else per hop).
-std::vector<std::uint8_t> columnImage(const ColumnVariant& column,
+std::vector<std::uint8_t> columnImage(const PackedRouteColumn& column,
                                       NodeId nodeCount) {
   std::vector<std::uint8_t> image;
   image.reserve(static_cast<std::size_t>(nodeCount));
-  for (NodeId id = 0; id < nodeCount; ++id) {
-    std::visit([&](const auto& c) { image.push_back(c.next(id)); }, column);
-  }
+  for (NodeId id = 0; id < nodeCount; ++id) image.push_back(column.next(id));
   return image;
 }
 
-// The tight budgets below are a handful of columns at 64x64 (dense
-// column = 4096 B, packed ~2051 B): small enough that a pooled workload
-// must evict, large enough that single columns fit.
+// The tight budgets below are a handful of columns at 64x64 (a packed
+// column is ~2051 B): small enough that a pooled workload must evict,
+// large enough that single columns fit.
 constexpr std::size_t kTightBudget = 8 * 1024;
 
-TEST(ColumnCacheTest, EvictionDifferentialAcrossKeysAndEncodings) {
+TEST(ColumnCacheTest, EvictionDifferentialAcrossKeys) {
   const Mesh2D mesh = Mesh2D::square(64);
   Rng rng(7001);
   const FaultSet faults = injectUniform(mesh, 80, rng);
   for (const std::string key : {"ecube", "rb2"}) {
-    for (const ColumnEncoding encoding :
-         {ColumnEncoding::Dense, ColumnEncoding::Packed}) {
-      SCOPED_TRACE(key + "/" + std::string(columnEncodingName(encoding)));
-      RouteService unbounded(faults, cacheConfig(key, encoding, 0));
-      RouteService bounded(faults,
-                           cacheConfig(key, encoding, kTightBudget));
-      // Churn cells toggle on both services in the same order, so every
-      // compared round runs on identical fault state.
-      const std::vector<Query> probe =
-          pooledBatch(mesh, faults, 160, 12, 7002);
-      std::vector<Point> toggles;
-      Rng trng(7003);
-      while (toggles.size() < 6) {
-        const Point p{static_cast<Coord>(trng.below(64)),
-                      static_cast<Coord>(trng.below(64))};
-        if (faults.isHealthy(p)) toggles.push_back(p);
-      }
-      for (std::size_t round = 0; round < 4; ++round) {
-        const BatchResult a = unbounded.serve(probe, /*wantPaths=*/true);
-        const BatchResult b = bounded.serve(probe, /*wantPaths=*/true);
-        expectIdenticalResults(a, b);
-        const Point p = toggles[round % toggles.size()];
-        if (round % 2 == 0) {
-          unbounded.applyAddFault(p);
-          bounded.applyAddFault(p);
-        } else {
-          unbounded.applyRemoveFault(p);
-          bounded.applyRemoveFault(p);
-        }
-      }
-      EXPECT_EQ(unbounded.counters().columnsEvicted, 0u);
-      EXPECT_GT(bounded.counters().columnsEvicted, 0u);
-      EXPECT_LE(bounded.columnFootprint().bytes, kTightBudget);
+    SCOPED_TRACE(key);
+    RouteService unbounded(faults, cacheConfig(key, 0));
+    RouteService bounded(faults, cacheConfig(key, kTightBudget));
+    // Churn cells toggle on both services in the same order, so every
+    // compared round runs on identical fault state.
+    const std::vector<Query> probe = pooledBatch(mesh, faults, 160, 12, 7002);
+    std::vector<Point> toggles;
+    Rng trng(7003);
+    while (toggles.size() < 6) {
+      const Point p{static_cast<Coord>(trng.below(64)),
+                    static_cast<Coord>(trng.below(64))};
+      if (faults.isHealthy(p)) toggles.push_back(p);
     }
+    for (std::size_t round = 0; round < 4; ++round) {
+      const BatchResult a = unbounded.serve(probe, /*wantPaths=*/true);
+      const BatchResult b = bounded.serve(probe, /*wantPaths=*/true);
+      expectIdenticalResults(a, b);
+      const Point p = toggles[round % toggles.size()];
+      if (round % 2 == 0) {
+        unbounded.applyAddFault(p);
+        bounded.applyAddFault(p);
+      } else {
+        unbounded.applyRemoveFault(p);
+        bounded.applyRemoveFault(p);
+      }
+    }
+    EXPECT_EQ(unbounded.counters().columnsEvicted, 0u);
+    EXPECT_GT(bounded.counters().columnsEvicted, 0u);
+    EXPECT_LE(bounded.columnFootprint().bytes, kTightBudget);
   }
 }
 
@@ -129,9 +120,7 @@ TEST(ColumnCacheTest, RecompileAfterEvictBitIdentical) {
   const Mesh2D mesh = Mesh2D::square(64);
   Rng rng(7101);
   const FaultSet faults = injectUniform(mesh, 60, rng);
-  RouteService service(faults,
-                       cacheConfig("ecube", ColumnEncoding::Packed,
-                                   kTightBudget));
+  RouteService service(faults, cacheConfig("ecube", kTightBudget));
   const Point dest{5, 9};
   ASSERT_TRUE(faults.isHealthy(dest));
   const NodeId destId = mesh.id(dest);
@@ -145,10 +134,9 @@ TEST(ColumnCacheTest, RecompileAfterEvictBitIdentical) {
     const auto column = snap->column(destId);
     ASSERT_NE(column, nullptr);
     original = columnImage(*column, mesh.nodeCount());
-    originalBytes = columnSizeBytes(*column);
-    const auto& packed = std::get<PackedRouteColumn>(*column);
-    originalHopBound = packed.hopBound();
-    originalRouted = packed.routedSources();
+    originalBytes = column->sizeBytes();
+    originalHopBound = column->hopBound();
+    originalRouted = column->routedSources();
   }
   // Flood the cache with other destinations until the slot is gone.
   std::size_t flood = 0;
@@ -168,10 +156,9 @@ TEST(ColumnCacheTest, RecompileAfterEvictBitIdentical) {
   const auto column = snap->column(destId);
   ASSERT_NE(column, nullptr);
   EXPECT_EQ(columnImage(*column, mesh.nodeCount()), original);
-  EXPECT_EQ(columnSizeBytes(*column), originalBytes);
-  const auto& packed = std::get<PackedRouteColumn>(*column);
-  EXPECT_EQ(packed.hopBound(), originalHopBound);
-  EXPECT_EQ(packed.routedSources(), originalRouted);
+  EXPECT_EQ(column->sizeBytes(), originalBytes);
+  EXPECT_EQ(column->hopBound(), originalHopBound);
+  EXPECT_EQ(column->routedSources(), originalRouted);
   EXPECT_GT(service.counters().columnsRecompiled, recompiledBefore);
 }
 
@@ -179,8 +166,7 @@ TEST(ColumnCacheTest, PinnedColumnNeverEvictedMidBatch) {
   const Mesh2D mesh = Mesh2D::square(32);
   Rng rng(7201);
   const FaultSet faults = injectUniform(mesh, 20, rng);
-  RouteService service(faults,
-                       cacheConfig("ecube", ColumnEncoding::Packed, 0));
+  RouteService service(faults, cacheConfig("ecube", 0));
   // Compile a handful of columns, then run the sweep directly (the same
   // call the serve tail makes) with an impossible budget while holding
   // batch pins on two of them: the pinned slots must survive.
@@ -210,32 +196,11 @@ TEST(ColumnCacheTest, PinnedColumnNeverEvictedMidBatch) {
             columnImage(*snap->column(pinnedDests[0]), mesh.nodeCount()));
 }
 
-TEST(ColumnCacheTest, DemotionKeepsServesIdentical) {
-  const Mesh2D mesh = Mesh2D::square(64);
-  Rng rng(7301);
-  const FaultSet faults = injectUniform(mesh, 60, rng);
-  RouteService dense(faults, cacheConfig("ecube", ColumnEncoding::Dense, 0));
-  // A budget between "all dense" and "all packed": the sweep's first
-  // response is demotion, which must already relieve the pressure.
-  RouteService demoting(faults, cacheConfig("ecube", ColumnEncoding::Dense,
-                                            24 * 1024));
-  const std::vector<Query> probe = pooledBatch(mesh, faults, 120, 10, 7302);
-  for (std::size_t round = 0; round < 3; ++round) {
-    const BatchResult a = dense.serve(probe, /*wantPaths=*/true);
-    const BatchResult b = demoting.serve(probe, /*wantPaths=*/true);
-    expectIdenticalResults(a, b);
-  }
-  EXPECT_GT(demoting.counters().columnsDemoted, 0u);
-  EXPECT_LE(demoting.columnFootprint().bytes, 24u * 1024u);
-}
-
 TEST(ColumnCacheTest, BudgetHoldsUnderChurn) {
   const Mesh2D mesh = Mesh2D::square(64);
   Rng rng(7401);
   const FaultSet faults = injectUniform(mesh, 80, rng);
-  RouteService service(faults,
-                       cacheConfig("rb2", ColumnEncoding::Packed,
-                                   kTightBudget));
+  RouteService service(faults, cacheConfig("rb2", kTightBudget));
   std::vector<Point> toggles;
   while (toggles.size() < 8) {
     const Point p{static_cast<Coord>(rng.below(64)),

@@ -19,8 +19,8 @@
 //  - fleet serving is bitwise deterministic across thread counts.
 //
 // The representative-key differentials here stay under the tier-1 time
-// budget; the full registry-key x encoding matrix and the multi-epoch
-// churn stress live in tests/slow/ (ctest label `slow`).
+// budget; the full registry-key matrices and the multi-epoch churn
+// stress live in tests/slow/ (ctest label `slow`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,17 +33,20 @@
 #include "fleet_test_util.h"
 #include "route/registry.h"
 #include "route/validate.h"
+#include "route/waypoint_graph.h"
 #include "service/fleet.h"
 
 namespace meshrt {
 namespace {
 
 using fleettest::expectFleetMatchesSingle;
+using fleettest::expectServePathsAgree;
 using fleettest::fleetConfig;
 using fleettest::injectInterior;
 using fleettest::pooledBatch;
 using fleettest::randomBatch;
 using fleettest::singleConfig;
+using fleettest::toggleFault;
 
 // ------------------------------------------------- differential oracle
 
@@ -78,26 +81,36 @@ TEST(FleetDifferential, UnrestrictedFaultsCertifiedShardsBitForBit) {
                            /*allCertified=*/false);
 }
 
+// The name is historical: the dense-vs-packed comparison is now the
+// epoch-0 TableizedRouter reference inside expectServePathsAgree, which
+// also pins the lockstep engine to the scalar chases under churn.
 TEST(FleetDifferential, EncodingsProduceIdenticalFleetResults) {
   const Mesh2D mesh = Mesh2D::square(32);
-  Rng rng(311);
-  const FaultSet faults = injectUniform(mesh, 60, rng);
-  const auto batch = pooledBatch(mesh, 120, 12, 313);
-  std::vector<FleetBatchResult> results;
-  for (const ColumnEncoding enc :
-       {ColumnEncoding::Dense, ColumnEncoding::Packed,
-        ColumnEncoding::PackedScalar}) {
-    FleetConfig cfg = fleetConfig("rb2", 2);
-    cfg.service.encoding = enc;
-    ServiceFleet fleet(faults, cfg);
-    results.push_back(fleet.serve(batch, /*wantPaths=*/true));
-  }
-  for (std::size_t v = 1; v < results.size(); ++v) {
-    SCOPED_TRACE(v);
-    ASSERT_EQ(results[v].status, results[0].status);
-    EXPECT_EQ(results[v].hops, results[0].hops);
-    EXPECT_EQ(results[v].paths, results[0].paths);
-    EXPECT_EQ(results[v].shardEpochs, results[0].shardEpochs);
+  // ~15 intra-shard queries per shard: every shard sub-batch is past
+  // the inline limit, so the lockstep and path serves really run.
+  const auto batch = pooledBatch(mesh, 240, 12, 313);
+  for (const std::string key : {"rb2", "ecube"}) {
+    SCOPED_TRACE(key);
+    Rng rng(311);
+    FaultSet faults = injectUniform(mesh, 60, rng);
+    ServiceFleet fleet(faults, fleetConfig(key, 2));
+    Rng churn(317);
+    std::size_t diverged = 0;
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE(round);
+      diverged += expectServePathsAgree(fleet, faults, batch,
+                                        /*reference=*/round == 0);
+      for (int e = 0; e < 2; ++e) {
+        toggleFault(fleet, faults,
+                    {static_cast<Coord>(churn.below(32)),
+                     static_cast<Coord>(churn.below(32))});
+      }
+    }
+    // ecube's ring detours livelock on some intra-shard pairs, so the
+    // Diverged lanes really were compared.
+    if (key == "ecube") {
+      EXPECT_GT(diverged, 0u);
+    }
   }
 }
 

@@ -1,16 +1,18 @@
 // Shared helpers for the fleet differential suites (tests/fleet_test.cpp
 // and the slow full-matrix suite in tests/slow/): batch generators, the
 // interior-fault injector whose configurations certify every shard
-// border-clear, per-key service configs, and the fleet-vs-single
-// differential assertion.
+// border-clear, per-key service configs, the fleet-vs-single
+// differential assertion and the fleet serve-path differential.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "route/route_table.h"
 #include "route/validate.h"
 #include "service/fleet.h"
 
@@ -228,6 +230,105 @@ inline void validateAgainstPinnedEpochs(const ShardLayout& layout,
             layout.toLocal(k, path[begin - 1])));
       }
     }
+  }
+}
+
+/// Serve-path differential for one fleet at its current epochs (no
+/// writer may run concurrently). The batch served without paths
+/// (intra-shard sub-batches on the lockstep engine, hop-bounded segment
+/// chases), with paths (nodeCount-bounded scalar chases) and one query
+/// at a time (every shard serve on the <= 8-query inline path) must
+/// agree on status and hops, and the path-carrying serves on paths.
+/// Delivered paths must be valid in `faults` (the test-owned global
+/// state) and under the pinned epochs. With `reference` set (epoch 0),
+/// every intra-shard answer and every stitched segment must equal the
+/// dense-column TableizedRouter chase over its shard's pinned epoch.
+/// Returns how many path-serve answers were Diverged.
+inline std::size_t expectServePathsAgree(ServiceFleet& fleet,
+                                         const FaultSet& faults,
+                                         const std::vector<Query>& batch,
+                                         bool reference) {
+  const ShardLayout& layout = fleet.layout();
+  const FleetBatchResult lockstep = fleet.serve(batch, /*wantPaths=*/false);
+  const FleetBatchResult paths = fleet.serve(batch, /*wantPaths=*/true);
+  EXPECT_EQ(lockstep.shardEpochs, paths.shardEpochs);
+  EXPECT_EQ(lockstep.status, paths.status);
+  EXPECT_EQ(lockstep.hops, paths.hops);
+  validateAgainstPinnedEpochs(layout, batch, paths);
+
+  std::vector<std::unique_ptr<TableizedRouter>> tables;
+  if (reference) {
+    for (std::size_t k = 0; k < fleet.shardCount(); ++k) {
+      const auto& snap = paths.pinned[k];
+      tables.push_back(std::make_unique<TableizedRouter>(
+          RouterRegistry::global().create(fleet.config().service.routerKey,
+                                          snap->context()),
+          snap->faults()));
+    }
+  }
+  // Reference chase from u to v (global cells) inside shard k.
+  const auto referenceChase = [&](std::size_t k, Point u, Point v) {
+    ServedRoute r =
+        tables[k]->serve(layout.toLocal(k, u), layout.toLocal(k, v));
+    for (Point& p : r.path) p = layout.toGlobal(k, p);
+    return r;
+  };
+
+  std::size_t diverged = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Query& q = batch[i];
+    SCOPED_TRACE("query " + std::to_string(i) + " " + q.s.str() + "->" +
+                 q.d.str());
+    const bool wantPath = i % 2 == 1;
+    const FleetBatchResult one = fleet.serve({q}, wantPath);
+    EXPECT_EQ(one.shardEpochs, paths.shardEpochs);
+    EXPECT_EQ(one.status[0], paths.status[i]);
+    EXPECT_EQ(one.hops[0], paths.hops[i]);
+    if (wantPath) {
+      EXPECT_EQ(one.paths[0], paths.paths[i]);
+    }
+    diverged += paths.status[i] == ServeStatus::Diverged;
+    if (paths.delivered(i)) {
+      EXPECT_TRUE(isValidPath(faults, q.s, q.d, paths.paths[i]));
+    }
+    if (!reference) continue;
+    const std::size_t ks = layout.owner(q.s);
+    if (ks == layout.owner(q.d)) {
+      const ServedRoute ref = referenceChase(ks, q.s, q.d);
+      EXPECT_EQ(paths.status[i], ref.status);
+      EXPECT_EQ(paths.paths[i], ref.path);
+      if (ref.delivered()) {
+        EXPECT_EQ(paths.hops[i], static_cast<std::int32_t>(ref.hops));
+      }
+    } else if (paths.delivered(i)) {
+      // Each segment is one shard-local chase from its first cell to
+      // its last (the exit cell, or the destination).
+      const std::vector<Point>& path = paths.paths[i];
+      const std::vector<FleetSegment>& segs = paths.segments[i];
+      for (std::size_t j = 0; j < segs.size(); ++j) {
+        const std::size_t end =
+            j + 1 < segs.size() ? segs[j + 1].begin : path.size();
+        const std::vector<Point> cells(path.begin() + segs[j].begin,
+                                       path.begin() + end);
+        const ServedRoute ref =
+            referenceChase(segs[j].shard, cells.front(), cells.back());
+        EXPECT_TRUE(ref.delivered());
+        EXPECT_EQ(ref.path, cells);
+      }
+    }
+  }
+  return diverged;
+}
+
+/// Flips p on the fleet (synchronous apply) and on the test-owned
+/// global fault set that mirrors it.
+inline void toggleFault(ServiceFleet& fleet, FaultSet& faults, Point p) {
+  if (faults.isFaulty(p)) {
+    faults.remove(p);
+    fleet.applyRemoveFault(p);
+  } else {
+    faults.add(p);
+    fleet.applyAddFault(p);
   }
 }
 

@@ -14,12 +14,16 @@
 //  - the scalar-lockstep and AVX2 batch engines both reproduce the
 //    scalar chaseColumn byte for byte, including NoRoute and Diverged
 //    lanes and sources equal to the destination;
-//  - RouteService serves bit-identical batches under dense, packed and
-//    packed-scalar encodings across live churn (the same-binary A/B the
-//    ServiceConfig knob exists for).
+//  - RouteService's three serve paths over its packed columns — the
+//    lockstep batch engine (wantPaths=false), the per-query path chase
+//    (wantPaths=true) and the <= 8-query inline chase — agree on every
+//    answer across live churn, deliver only valid paths, and match the
+//    dense-column TableizedRouter reference at epoch 0.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,6 +31,7 @@
 #include "route/batch_chase.h"
 #include "route/packed_column.h"
 #include "route/route_table.h"
+#include "route/validate.h"
 #include "service/route_service.h"
 
 namespace meshrt {
@@ -283,8 +288,12 @@ TEST(BatchChaseTest, DivergingColumnRetiresByHopBound) {
   }
 }
 
-// -------------------------------------------- service-level A/B identity
+// ------------------------------------------- service serve-path identity
 
+// The name predates the single-encoding service: the dense-vs-packed
+// comparison is now the epoch-0 TableizedRouter reference, and the rest
+// pins the lockstep engine (AVX2 or scalar, by CPU dispatch) to the
+// scalar chases under churn.
 TEST(ServiceEncodingTest, EncodingsServeBitIdenticallyUnderChurn) {
   const Mesh2D mesh = Mesh2D::square(24);
   Rng rng(3601);
@@ -294,47 +303,66 @@ TEST(ServiceEncodingTest, EncodingsServeBitIdenticallyUnderChurn) {
   // path.
   const auto batch = randomBatch(mesh, 200, 3602);
 
-  struct Round {
-    BatchResult flat;   // wantPaths=false: the lockstep fast path
-    BatchResult paths;  // wantPaths=true: the scalar template path
-  };
-  auto run = [&](ColumnEncoding encoding) {
+  for (const std::string key : {"rb2", "ecube"}) {
+    SCOPED_TRACE(key);
     ServiceConfig cfg;
+    cfg.routerKey = key;
     cfg.threads = 2;
-    cfg.encoding = encoding;
     RouteService service(faults, cfg);
-    std::vector<Round> rounds;
     Rng churn(3603);
+    std::size_t diverged = 0;
     for (int round = 0; round < 6; ++round) {
-      Round r;
-      r.flat = service.serve(batch, /*wantPaths=*/false);
-      r.paths = service.serve(batch, /*wantPaths=*/true);
-      rounds.push_back(std::move(r));
+      SCOPED_TRACE(round);
+      const auto snap = service.snapshot();
+      const BatchResult lockstep = service.serveOn(snap, batch, false);
+      const BatchResult paths = service.serveOn(snap, batch, true);
+      ASSERT_EQ(lockstep.epoch, paths.epoch);
+      ASSERT_EQ(lockstep.status, paths.status);
+      ASSERT_EQ(lockstep.hops, paths.hops);
+      // Epoch 0 is the frozen fault set TableizedRouter needs.
+      std::unique_ptr<TableizedRouter> reference;
+      if (round == 0) {
+        reference = std::make_unique<TableizedRouter>(
+            RouterRegistry::global().create(key, snap->context()),
+            snap->faults());
+      }
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        SCOPED_TRACE("query " + std::to_string(i));
+        const Query& q = batch[i];
+        // One-query serves take the inline path; alternate its two
+        // modes (hop-bounded status/hops vs nodeCount-bounded paths).
+        const bool wantPath = i % 2 == 1;
+        const BatchResult one = service.serveOn(snap, {q}, wantPath);
+        ASSERT_EQ(one.status[0], paths.status[i]);
+        ASSERT_EQ(one.hops[0], paths.hops[i]);
+        if (wantPath) {
+          ASSERT_EQ(one.paths[0], paths.paths[i]);
+        }
+        if (paths.delivered(i)) {
+          EXPECT_TRUE(isValidPath(snap->faults(), q.s, q.d, paths.paths[i]));
+        }
+        diverged += paths.status[i] == ServeStatus::Diverged;
+        if (reference) {
+          const ServedRoute ref = reference->serve(q.s, q.d);
+          ASSERT_EQ(paths.status[i], ref.status);
+          ASSERT_EQ(paths.paths[i], ref.path);
+          if (ref.delivered()) {
+            ASSERT_EQ(paths.hops[i], static_cast<std::int32_t>(ref.hops));
+          }
+        }
+      }
       const Point p{static_cast<Coord>(churn.below(24)),
                     static_cast<Coord>(churn.below(24))};
-      if (service.snapshot()->faults().isFaulty(p)) {
+      if (snap->faults().isFaulty(p)) {
         service.applyRemoveFault(p);
       } else {
         service.applyAddFault(p);
       }
     }
-    return rounds;
-  };
-
-  const auto dense = run(ColumnEncoding::Dense);
-  for (ColumnEncoding other :
-       {ColumnEncoding::Packed, ColumnEncoding::PackedScalar}) {
-    SCOPED_TRACE(std::string(columnEncodingName(other)));
-    const auto rounds = run(other);
-    ASSERT_EQ(rounds.size(), dense.size());
-    for (std::size_t r = 0; r < rounds.size(); ++r) {
-      SCOPED_TRACE(r);
-      ASSERT_EQ(rounds[r].flat.epoch, dense[r].flat.epoch);
-      ASSERT_EQ(rounds[r].flat.status, dense[r].flat.status);
-      ASSERT_EQ(rounds[r].flat.hops, dense[r].flat.hops);
-      ASSERT_EQ(rounds[r].paths.status, dense[r].paths.status);
-      ASSERT_EQ(rounds[r].paths.hops, dense[r].paths.hops);
-      ASSERT_EQ(rounds[r].paths.paths, dense[r].paths.paths);
+    // ecube's ring detours livelock on some of these pairs: the Diverged
+    // lanes (hop-bound retirement vs nodeCount walk) really were compared.
+    if (key == "ecube") {
+      EXPECT_GT(diverged, 0u);
     }
   }
 }

@@ -3,6 +3,9 @@
 // every router, and baseline behavior.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
 #include "fault/analysis.h"
 #include "route/bfs.h"
 #include "route/ecube.h"
@@ -149,13 +152,22 @@ TEST(PlannerTest, UnreachableWhenSafeGraphDisconnected) {
 // ---------------------------------------------------------------------------
 struct TheoremCase {
   int seed;
+  // gtest prints a parameter that has no printer as its raw bytes, and
+  // ctest lists each case under that print. Left to the compiler, these
+  // four bytes are alignment padding whose garbage (stack and heap
+  // address bits, so it moved with ASLR) leaked into the case names. As
+  // an explicit field they are fixed, pinned to the names these cases
+  // were recorded under; the test body never reads them.
+  std::int32_t nameBytes;
   std::size_t faults;
 };
+static_assert(sizeof(TheoremCase) == 16, "no compiler padding left");
 
 class Theorem1 : public ::testing::TestWithParam<TheoremCase> {};
 
 TEST_P(Theorem1, Rb2MatchesBfsOptimum) {
-  const auto [seed, faultCount] = GetParam();
+  const int seed = GetParam().seed;
+  const std::size_t faultCount = GetParam().faults;
   Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 29);
   const Mesh2D mesh = Mesh2D::square(24);
   const FaultSet faults = injectUniform(mesh, faultCount, rng);
@@ -189,15 +201,17 @@ TEST_P(Theorem1, Rb2MatchesBfsOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, Theorem1,
-    ::testing::Values(TheoremCase{1, 10}, TheoremCase{2, 30},
-                      TheoremCase{3, 60}, TheoremCase{4, 90},
-                      TheoremCase{5, 120}, TheoremCase{6, 150},
-                      TheoremCase{7, 40}, TheoremCase{8, 80},
-                      TheoremCase{9, 110}, TheoremCase{10, 140},
+    ::testing::Values(TheoremCase{1, 0, 10}, TheoremCase{2, 0x7FFF, 30},
+                      TheoremCase{3, 0x7FFF, 60}, TheoremCase{4, 0x55B5, 90},
+                      TheoremCase{5, 0x55B5, 120}, TheoremCase{6, 0, 150},
+                      TheoremCase{7, 0x55B5, 40}, TheoremCase{8, 0, 80},
+                      TheoremCase{9, 0x7FFF, 110},
+                      TheoremCase{10, 0x7FFF, 140},
                       // High densities (up to ~30% faulty): the regime
                       // where Eq. 3's clear-leg premise fails and the
                       // exact-field fallback must engage.
-                      TheoremCase{11, 170}, TheoremCase{12, 180}));
+                      TheoremCase{11, 0x7FFF, 170},
+                      TheoremCase{12, 0, 180}));
 
 // Safe-BFS and healthy-BFS coincide in almost all configurations; measure
 // the gap explicitly so the Theorem 1 test's skip is justified.

@@ -2,16 +2,17 @@
 // end-to-end run the PR-10 scaling work exists for. One wave structure,
 // two fleets over the same faults and synchronous churn:
 //
-//  - hierarchical stitch planning UNDER a tight per-shard column budget
-//    (evictions guaranteed at this scale), vs
-//  - flat per-batch planning with an unbounded cache (the PR-7 oracle).
+//  - a tight per-shard column budget (evictions guaranteed at this
+//    scale), vs
+//  - an unbounded column cache.
 //
 // Every wave must serve bit-identically — status, hops, full stitched
-// paths — which certifies both tentpole claims at once: eviction is
-// invisible to results, and the supergraph planner equals the flat
-// rebuild. Counters then prove the scale machinery actually engaged
-// (evictions, plan-cache hits, border reuse), and per-shard footprints
-// stay at or under budget at quiescence.
+// paths — which certifies that eviction is invisible to results at
+// scale. (The planner's own oracle, the flat BoundaryWaypointGraph, is
+// checked in tests/stitch_planner_test.cpp.) Counters then prove the
+// scale machinery actually engaged (evictions, plan-cache hits, border
+// reuse), and per-shard footprints stay at or under budget at
+// quiescence.
 //
 // Router choice: `ecube`, the bench's own at-scale default. A column
 // compile routes once per healthy source, so its cost is the router's
@@ -38,7 +39,7 @@ using fleettest::pooledBatch;
 using fleettest::validateAgainstPinnedEpochs;
 
 // Packed column at grid 4 on 1024 (local 260x260 = 67600 nodes) is
-// ~25 KB, so the budget holds ~10 columns per shard. Each wave draws a
+// ~34 KB, so the budget holds ~7 columns per shard. Each wave draws a
 // fresh destination pool, and cross queries materialize waypoint exit
 // columns on every transit shard, so the busy central shards accumulate
 // well past the budget across waves: the CLOCK sweep must evict the
@@ -52,14 +53,10 @@ TEST(FleetScale, Grid4ChurnAt1024UnderBudget) {
   Rng rng(11001);
   const FaultSet faults = injectInterior(probe, 600, /*margin=*/3, rng);
 
-  FleetConfig bounded = fleettest::fleetConfig("ecube", 4);
-  bounded.stitchPlan = StitchPlanMode::Hierarchical;
-  bounded.service.columnBudgetBytes = kShardBudget;
-  FleetConfig oracle = fleettest::fleetConfig("ecube", 4);
-  oracle.stitchPlan = StitchPlanMode::Flat;
-
-  ServiceFleet hier(faults, bounded);
-  ServiceFleet flat(faults, oracle);
+  FleetConfig budgeted = fleettest::fleetConfig("ecube", 4);
+  budgeted.service.columnBudgetBytes = kShardBudget;
+  ServiceFleet bounded(faults, budgeted);
+  ServiceFleet unbounded(faults, fleettest::fleetConfig("ecube", 4));
 
   std::vector<Point> toggles;
   Rng trng(11002);
@@ -77,36 +74,36 @@ TEST(FleetScale, Grid4ChurnAt1024UnderBudget) {
     // plan-cache traffic. The pool is reseeded per wave, so each wave
     // compiles fresh columns and ages the previous wave's cold.
     const std::vector<Query> batch = pooledBatch(mesh, 32, 6, 11003 + wave);
-    const FleetBatchResult hr = hier.serve(batch, /*wantPaths=*/true);
-    const FleetBatchResult fr = flat.serve(batch, /*wantPaths=*/true);
-    ASSERT_EQ(hr.size(), fr.size());
+    const FleetBatchResult br = bounded.serve(batch, /*wantPaths=*/true);
+    const FleetBatchResult ur = unbounded.serve(batch, /*wantPaths=*/true);
+    ASSERT_EQ(br.size(), ur.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       SCOPED_TRACE("query " + std::to_string(i) + " " + batch[i].s.str() +
                    "->" + batch[i].d.str());
-      EXPECT_EQ(hr.status[i], fr.status[i]);
-      EXPECT_EQ(hr.hops[i], fr.hops[i]);
-      EXPECT_EQ(hr.paths[i], fr.paths[i]);
+      EXPECT_EQ(br.status[i], ur.status[i]);
+      EXPECT_EQ(br.hops[i], ur.hops[i]);
+      EXPECT_EQ(br.paths[i], ur.paths[i]);
     }
-    validateAgainstPinnedEpochs(hier.layout(), batch, hr);
+    validateAgainstPinnedEpochs(bounded.layout(), batch, br);
     const Point p = toggles[wave % toggles.size()];
     if (added) {
-      hier.applyRemoveFault(p);
-      flat.applyRemoveFault(p);
+      bounded.applyRemoveFault(p);
+      unbounded.applyRemoveFault(p);
     } else {
-      hier.applyAddFault(p);
-      flat.applyAddFault(p);
+      bounded.applyAddFault(p);
+      unbounded.applyAddFault(p);
     }
     added = !added;
   }
 
-  const FleetCounters hc = hier.counters();
-  EXPECT_GT(hc.crossQueries, 0u);
-  EXPECT_GT(hc.planCacheHits, 0u);
-  EXPECT_GT(hc.borderReuses, 0u);
+  const FleetCounters bc = bounded.counters();
+  EXPECT_GT(bc.crossQueries, 0u);
+  EXPECT_GT(bc.planCacheHits, 0u);
+  EXPECT_GT(bc.borderReuses, 0u);
   std::uint64_t evicted = 0;
   for (std::size_t k = 0; k < 16; ++k) {
-    evicted += hier.shard(k).counters().columnsEvicted;
-    EXPECT_LE(hier.shard(k).columnFootprint().bytes, kShardBudget)
+    evicted += bounded.shard(k).counters().columnsEvicted;
+    EXPECT_LE(bounded.shard(k).columnFootprint().bytes, kShardBudget)
         << "shard " << k;
   }
   EXPECT_GT(evicted, 0u);

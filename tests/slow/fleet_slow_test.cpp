@@ -2,9 +2,11 @@
 // with -LE slow, Release runs everything):
 //
 //  - FleetSlowDifferential: the full differential matrix the fast suite
-//    samples — EVERY registry key fleet-vs-single at 64x64, every key x
-//    all three column encodings bitwise-identical, and a 128x128
-//    unrestricted-fault run with per-shard border-clear certification.
+//    samples — EVERY registry key fleet-vs-single at 64x64, every key's
+//    serve paths (lockstep, path and one-query serves) agreeing under
+//    churn and matching the dense TableizedRouter reference at epoch 0,
+//    and a 128x128 unrestricted-fault run with per-shard border-clear
+//    certification.
 //  - FleetChurn: concurrent per-shard writers (submit* queues) against
 //    concurrent fleet readers; every served path is re-validated against
 //    the pinned epoch of every shard it crosses using the stitch-segment
@@ -29,12 +31,14 @@ namespace meshrt {
 namespace {
 
 using fleettest::expectFleetMatchesSingle;
+using fleettest::expectServePathsAgree;
 using fleettest::fleetConfig;
 using fleettest::injectInterior;
 using fleettest::pooledBatch;
 using fleettest::singleConfig;
+using fleettest::toggleFault;
 
-// ------------------------------------------------ full key/encoding matrix
+// ------------------------------------------------------- full key matrix
 
 TEST(FleetSlowDifferential, EveryRegistryKeyMatchesSingleService) {
   const Mesh2D mesh = Mesh2D::square(64);
@@ -52,29 +56,28 @@ TEST(FleetSlowDifferential, EveryRegistryKeyMatchesSingleService) {
   }
 }
 
+// The name is historical: see FleetDifferential's
+// EncodingsProduceIdenticalFleetResults, which this runs for every key.
 TEST(FleetSlowDifferential, EveryKeyServesIdenticallyAcrossEncodings) {
   const Mesh2D mesh = Mesh2D::square(48);
-  Rng rng(311);
-  const FaultSet faults = injectUniform(mesh, 140, rng);
-  const auto batch = pooledBatch(mesh, 100, 10, 313);
+  // ~15 intra-shard queries per shard: every shard sub-batch is past
+  // the inline limit, so the lockstep and path serves really run.
+  const auto batch = pooledBatch(mesh, 240, 10, 313);
   for (const auto& key : RouterRegistry::global().keys()) {
     if (key.starts_with("table:")) continue;
     SCOPED_TRACE(key);
-    std::vector<FleetBatchResult> results;
-    for (const ColumnEncoding enc :
-         {ColumnEncoding::Dense, ColumnEncoding::Packed,
-          ColumnEncoding::PackedScalar}) {
-      FleetConfig cfg = fleetConfig(key, 2);
-      cfg.service.encoding = enc;
-      ServiceFleet fleet(faults, cfg);
-      results.push_back(fleet.serve(batch, /*wantPaths=*/true));
-    }
-    for (std::size_t v = 1; v < results.size(); ++v) {
-      SCOPED_TRACE(v);
-      ASSERT_EQ(results[v].status, results[0].status);
-      EXPECT_EQ(results[v].hops, results[0].hops);
-      EXPECT_EQ(results[v].paths, results[0].paths);
-      EXPECT_EQ(results[v].shardEpochs, results[0].shardEpochs);
+    Rng rng(311);
+    FaultSet faults = injectUniform(mesh, 140, rng);
+    ServiceFleet fleet(faults, fleetConfig(key, 2));
+    Rng churn(317);
+    for (int round = 0; round < 3; ++round) {
+      SCOPED_TRACE(round);
+      expectServePathsAgree(fleet, faults, batch, /*reference=*/round == 0);
+      for (int e = 0; e < 2; ++e) {
+        toggleFault(fleet, faults,
+                    {static_cast<Coord>(churn.below(48)),
+                     static_cast<Coord>(churn.below(48))});
+      }
     }
   }
 }

@@ -1,20 +1,27 @@
 // Differential suite for hierarchical stitch planning
-// (src/service/stitch_planner.h). The contract: Hierarchical mode —
-// epoch-cached border supergraph, lazy waypoint materialization, and the
-// (shard pair, border-epoch vector) plan cache — serves every cross-shard
-// batch bit-identically to Flat mode's per-batch full-graph rebuild on
-// the same pinned views, across live churn. The planner counters prove
-// the caches are doing work (reuse, hits) and that border-touching
-// events — and only those — invalidate them.
+// (src/service/stitch_planner.h). The contract: the planner — epoch-cached
+// border supergraph, lazy waypoint materialization, and the (shard pair,
+// border-epoch vector) plan cache — answers every shard-path and
+// crossing query exactly like a BoundaryWaypointGraph (the flat oracle)
+// built fresh over the same fault view, across live churn, as long as
+// border epochs move on exactly the events that touch an owned border
+// ring (the fleet's rule). The planner counters prove the caches are
+// doing work (reuse, hits) and that border-touching events — and only
+// those — invalidate them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "fault/injectors.h"
 #include "fleet_test_util.h"
+#include "route/waypoint_graph.h"
 #include "service/fleet.h"
+#include "service/stitch_planner.h"
 
 namespace meshrt {
 namespace {
@@ -23,61 +30,85 @@ using fleettest::injectInterior;
 using fleettest::pooledBatch;
 using fleettest::validateAgainstPinnedEpochs;
 
-FleetConfig planConfig(StitchPlanMode mode) {
-  FleetConfig cfg = fleettest::fleetConfig("rb2", 2);
-  cfg.stitchPlan = mode;
-  return cfg;
+/// fleet.cpp's touchesOwnedBorder rule: p lies on its owner's owned
+/// border ring.
+bool onOwnedRing(const ShardLayout& layout, Point p) {
+  const Rect& r = layout.owned(layout.owner(p));
+  return p.x == r.x0 || p.x == r.x1 || p.y == r.y0 || p.y == r.y1;
 }
 
 TEST(StitchPlanTest, HierarchicalVsFlatDifferential) {
   const Mesh2D mesh = Mesh2D::square(64);
-  Rng rng(9001);
-  const FaultSet faults = injectUniform(mesh, 60, rng);
-  ServiceFleet hier(faults, planConfig(StitchPlanMode::Hierarchical));
-  ServiceFleet flat(faults, planConfig(StitchPlanMode::Flat));
-  // Waves of identical batches with identical synchronous churn between
-  // them: both planners always see the same pinned views, so results
-  // must be bit-identical — status, hops, full stitched paths.
-  std::vector<Point> toggles;
-  Rng trng(9002);
-  while (toggles.size() < 6) {
-    const Point p{static_cast<Coord>(trng.below(64)),
-                  static_cast<Coord>(trng.below(64))};
-    if (faults.isHealthy(p)) toggles.push_back(p);
-  }
-  bool added = false;
-  for (std::size_t wave = 0; wave < 4; ++wave) {
-    SCOPED_TRACE("wave " + std::to_string(wave));
-    const std::vector<Query> batch = pooledBatch(mesh, 120, 10, 9003 + wave);
-    const FleetBatchResult hr = hier.serve(batch, /*wantPaths=*/true);
-    const FleetBatchResult fr = flat.serve(batch, /*wantPaths=*/true);
-    ASSERT_EQ(hr.size(), fr.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      SCOPED_TRACE("query " + std::to_string(i) + " " + batch[i].s.str() +
-                   "->" + batch[i].d.str());
-      EXPECT_EQ(hr.status[i], fr.status[i]);
-      EXPECT_EQ(hr.hops[i], fr.hops[i]);
-      EXPECT_EQ(hr.paths[i], fr.paths[i]);
+  for (const std::size_t grid : {2u, 4u}) {
+    SCOPED_TRACE("grid " + std::to_string(grid));
+    const ShardLayout layout(mesh, grid, 2);
+    const std::size_t shards = layout.shardCount();
+    Rng rng(9001 + grid);
+    FaultSet faults = injectUniform(mesh, 60, rng);
+    StitchPlannerCounters counters{
+        std::make_shared<Counter>(), std::make_shared<Counter>(),
+        std::make_shared<Counter>(), std::make_shared<Counter>(),
+        std::make_shared<Counter>()};
+    StitchPlanner planner(layout, StitchPlanMode::Hierarchical, counters);
+    std::vector<std::uint64_t> epochs(shards, 0);
+    const auto healthy = [&](Point p) { return faults.isHealthy(p); };
+
+    Rng trng(9002 + grid);
+    for (std::size_t round = 0; round <= 24; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      if (round > 0) {
+        // Alternate owned-ring and interior toggles; only ring events
+        // bump the owner's border epoch.
+        Point p;
+        do {
+          p = {static_cast<Coord>(trng.below(64)),
+               static_cast<Coord>(trng.below(64))};
+        } while (onOwnedRing(layout, p) != (round % 2 == 1));
+        if (faults.isFaulty(p)) {
+          faults.remove(p);
+        } else {
+          faults.add(p);
+        }
+        if (onOwnedRing(layout, p)) ++epochs[layout.owner(p)];
+      }
+      const BoundaryWaypointGraph flat(layout, healthy);
+      StitchPlanner::Session session = planner.session(healthy, epochs);
+      for (std::size_t from = 0; from < shards; ++from) {
+        for (std::size_t to = 0; to < shards; ++to) {
+          const std::vector<std::size_t> path = flat.shardPath(from, to);
+          ASSERT_EQ(session.shardPath(from, to), path)
+              << from << " -> " << to;
+          if (path.size() < 2) continue;
+          // Block the first border the oracle crosses (the fleet's
+          // retry path; uncached by design).
+          const std::vector<std::pair<std::size_t, std::size_t>> blocked{
+              {std::min(path[0], path[1]), std::max(path[0], path[1])}};
+          ASSERT_EQ(session.shardPath(from, to, &blocked),
+                    flat.shardPath(from, to, &blocked))
+              << from << " -> " << to << " blocked";
+        }
+        for (const std::size_t to : layout.neighbors(from)) {
+          const std::vector<std::size_t>& expected = flat.border(from, to);
+          const std::vector<StitchPlanner::Waypoint>& got =
+              session.crossings(from, to);
+          ASSERT_EQ(got.size(), expected.size()) << from << " | " << to;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            const BoundaryWaypointGraph::Waypoint& w =
+                flat.waypoint(expected[i]);
+            EXPECT_EQ(got[i].a, w.a);
+            EXPECT_EQ(got[i].b, w.b);
+            EXPECT_EQ(got[i].shardA, w.shardA);
+            EXPECT_EQ(got[i].shardB, w.shardB);
+          }
+        }
+      }
     }
-    validateAgainstPinnedEpochs(hier.layout(), batch, hr);
-    const Point p = toggles[wave % toggles.size()];
-    if (added) {
-      hier.applyRemoveFault(p);
-      flat.applyRemoveFault(p);
-    } else {
-      hier.applyAddFault(p);
-      flat.applyAddFault(p);
-    }
-    added = !added;
+    // Interior rounds keep every epoch, so the next fresh session answers
+    // from the caches: those cached answers were compared too.
+    EXPECT_GT(counters.borderReuses->value(), 0u);
+    EXPECT_GT(counters.planCacheHits->value(), 0u);
+    EXPECT_GT(counters.planInvalidations->value(), 0u);
   }
-  const FleetCounters hc = hier.counters();
-  const FleetCounters fc = flat.counters();
-  EXPECT_GT(hc.crossQueries, 0u);
-  EXPECT_EQ(hc.crossQueries, fc.crossQueries);
-  // Flat rescans every border on every cross batch; hierarchical only
-  // scans what its shard paths cross, once per border-epoch pair.
-  EXPECT_LT(hc.borderBuilds, fc.borderBuilds);
-  EXPECT_GT(hc.borderReuses, 0u);
 }
 
 TEST(StitchPlanTest, PlanCacheInvalidationOnBorderFault) {
@@ -85,7 +116,7 @@ TEST(StitchPlanTest, PlanCacheInvalidationOnBorderFault) {
   const ShardLayout probe(mesh, 2, 2);
   Rng rng(9101);
   const FaultSet faults = injectInterior(probe, 40, 3, rng);
-  ServiceFleet fleet(faults, planConfig(StitchPlanMode::Hierarchical));
+  ServiceFleet fleet(faults, fleettest::fleetConfig("rb2", 2));
   const std::vector<Query> batch = pooledBatch(mesh, 100, 8, 9102);
   fleet.serve(batch, /*wantPaths=*/true);
   const FleetCounters warm = fleet.counters();
@@ -120,7 +151,7 @@ TEST(StitchPlanTest, BorderEpochBumpsOnlyOnRingEvents) {
   const ShardLayout probe(mesh, 2, 2);
   Rng rng(9201);
   const FaultSet faults = injectInterior(probe, 40, 3, rng);
-  ServiceFleet fleet(faults, planConfig(StitchPlanMode::Hierarchical));
+  ServiceFleet fleet(faults, fleettest::fleetConfig("rb2", 2));
   const std::vector<Query> batch = pooledBatch(mesh, 100, 8, 9202);
   fleet.serve(batch, /*wantPaths=*/true);
   const FleetCounters warm = fleet.counters();
