@@ -9,8 +9,7 @@ namespace {
 constexpr Coord sign(Coord v) { return v > 0 ? 1 : (v < 0 ? -1 : 0); }
 }  // namespace
 
-MonotoneField::MonotoneField(const Mesh2D& mesh, Point a, Point b,
-                             const Passable& passable)
+MonotoneField::MonotoneField(const Mesh2D& mesh, Point a, Point b)
     : a_(a),
       b_(b),
       rect_(Rect::between(a, b)),
@@ -19,15 +18,11 @@ MonotoneField::MonotoneField(const Mesh2D& mesh, Point a, Point b,
   assert(mesh.contains(a) && mesh.contains(b));
   (void)mesh;
   const auto cells = static_cast<std::size_t>(rect_.area());
-  reach_.assign(cells, false);
-  passable_.assign(cells, false);
+  reach_.assign(cells, 0);
+  passable_.assign(cells, 0);
+}
 
-  for (Coord y = rect_.y0; y <= rect_.y1; ++y) {
-    for (Coord x = rect_.x0; x <= rect_.x1; ++x) {
-      passable_[index({x, y})] = passable({x, y});
-    }
-  }
-
+void MonotoneField::sweep() {
   // Sweep in dependency order: predecessors of p are p - stepX and
   // p - stepY. Iterating rows from a's side outward visits both first.
   const Coord xBegin = stepX_ >= 0 ? rect_.x0 : rect_.x1;
@@ -43,15 +38,17 @@ MonotoneField::MonotoneField(const Mesh2D& mesh, Point a, Point b,
       const std::size_t i = index(p);
       if (!passable_[i]) continue;
       if (p == a_) {
-        reach_[i] = true;
+        reach_[i] = 1;
         continue;
       }
       bool r = false;
-      if (stepX_ != 0 && p.x != a_.x) r = reach_[index({p.x - stepX_, p.y})];
-      if (!r && stepY_ != 0 && p.y != a_.y) {
-        r = reach_[index({p.x, p.y - stepY_})];
+      if (stepX_ != 0 && p.x != a_.x) {
+        r = reach_[index({p.x - stepX_, p.y})] != 0;
       }
-      reach_[i] = r;
+      if (!r && stepY_ != 0 && p.y != a_.y) {
+        r = reach_[index({p.x, p.y - stepY_})] != 0;
+      }
+      reach_[i] = r ? 1 : 0;
     }
   }
 }

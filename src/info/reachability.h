@@ -5,7 +5,7 @@
 // blocking sequences (Eq. 1) without any geometric approximation.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <vector>
 
 #include "mesh/mesh.h"
@@ -21,11 +21,19 @@ enum class PathOrder : std::uint8_t { Balanced, XFirst };
 
 class MonotoneField {
  public:
-  using Passable = std::function<bool(Point)>;
-
   /// Computes reachability from a toward b, restricted to Rect::between(a,b).
-  /// `passable` is consulted for every cell in that rectangle.
-  MonotoneField(const Mesh2D& mesh, Point a, Point b, const Passable& passable);
+  /// `passable(Point) -> bool` is consulted for every cell in that
+  /// rectangle.
+  template <typename Passable>
+  MonotoneField(const Mesh2D& mesh, Point a, Point b, Passable&& passable)
+      : MonotoneField(mesh, a, b) {
+    for (Coord y = rect_.y0; y <= rect_.y1; ++y) {
+      for (Coord x = rect_.x0; x <= rect_.x1; ++x) {
+        passable_[index({x, y})] = passable(Point{x, y}) ? 1 : 0;
+      }
+    }
+    sweep();
+  }
 
   Point source() const { return a_; }
   Point target() const { return b_; }
@@ -43,6 +51,11 @@ class MonotoneField {
   std::vector<Point> blockingFrontier() const;
 
  private:
+  /// Sizes the rectangle; the public constructor fills passable_, then
+  /// sweep() fills reach_.
+  MonotoneField(const Mesh2D& mesh, Point a, Point b);
+  void sweep();
+
   std::size_t index(Point p) const {
     return static_cast<std::size_t>(p.y - rect_.y0) *
                static_cast<std::size_t>(rect_.width()) +
@@ -54,8 +67,8 @@ class MonotoneField {
   Rect rect_;
   Coord stepX_;  // sign(b.x - a.x); 0 when the leg is vertical
   Coord stepY_;
-  std::vector<bool> reach_;
-  std::vector<bool> passable_;
+  std::vector<std::uint8_t> reach_;
+  std::vector<std::uint8_t> passable_;
 };
 
 }  // namespace meshrt

@@ -14,19 +14,104 @@ constexpr std::size_t kEvalBudget = 4096;
 
 }  // namespace
 
-DetourPlanner::DetourPlanner(const QuadrantAnalysis& qa, bool exactFallback)
-    : qa_(&qa), exactFallback_(exactFallback) {}
+void PlanCache::bind(const QuadrantAnalysis& qa) {
+  if (qa_ == &qa && version_ == qa.version()) return;
+  qa_ = &qa;
+  version_ = qa.version();
+  const Mesh2D& mesh = qa.localMesh();
+  height_ = mesh.height();
+  rowWords_ = (static_cast<std::size_t>(mesh.width()) + 63) / 64;
+  mask_.assign(rowWords_ * static_cast<std::size_t>(height_), 0);
+  for (Coord y = 0; y < height_; ++y) {
+    for (Coord x = 0; x < mesh.width(); ++x) {
+      if (qa.mccIndexAt({x, y}) < 0) mask_[word({x, y})] |= bit(x);
+    }
+  }
+  fields_.clear();
+  dist_.reset();
+}
 
-bool DetourPlanner::passable(Point p, const std::vector<int>* known) const {
-  const int id = qa_->mccIndexAt(p);
-  if (id < 0) return true;  // safe node
-  if (known == nullptr) return false;
-  return !std::binary_search(known->begin(), known->end(), id);
+void PlanCache::sweepReach(Point b, std::uint64_t* bits) const {
+  if (!passable(b)) return;
+  // a reaches b iff a is passable and one of its two steps toward b
+  // reaches b. Rows are settled outward from b's row: a cell is seeded
+  // when the cell one row nearer b reaches b, and seeds spread away from
+  // b's column through runs of passable cells (the step along the row).
+  // Each half row is one pass over its 64-cell words: eastward by the
+  // carry of an addition, westward by doubling shifts. Cells in b's row
+  // or column lie in two halves and get the same answer in each.
+  const std::size_t wb = static_cast<std::size_t>(b.x) / 64;
+  std::vector<std::uint64_t> east(rowWords_);
+  std::vector<std::uint64_t> west(rowWords_);
+  for (const Coord sy : {Coord{1}, Coord{-1}}) {
+    std::fill(east.begin(), east.end(), std::uint64_t{0});
+    std::fill(west.begin(), west.end(), std::uint64_t{0});
+    east[wb] = west[wb] = bit(b.x);
+    for (Coord y = b.y; y >= 0 && y < height_; y += sy) {
+      const std::uint64_t* m = mask_.data() + word({0, y});
+      std::uint64_t* out = bits + word({0, y});
+      std::uint64_t any = 0;
+      std::uint64_t carry = 0;
+      for (std::size_t w = wb; w < rowWords_; ++w) {
+        const std::uint64_t s = (east[w] | carry) & m[w];
+        const std::uint64_t f = (((m[w] + s) ^ m[w]) & m[w]) | s;
+        carry = f >> 63;
+        east[w] = f;
+        out[w] |= f;
+        any |= f;
+      }
+      carry = 0;
+      for (std::size_t w = wb + 1; w-- > 0;) {
+        std::uint64_t g = (west[w] | carry) & m[w];
+        std::uint64_t p = m[w];
+        for (unsigned shift = 1; shift < 64; shift *= 2) {
+          g |= p & (g >> shift);
+          p &= p >> shift;
+        }
+        carry = g << 63;
+        west[w] = g;
+        out[w] |= g;
+        any |= g;
+      }
+      if (any == 0) break;  // no seeds left for the rows beyond
+    }
+  }
+}
+
+bool PlanCache::reaches(Point a, Point b) {
+  auto it = fields_.find(b);
+  if (it == fields_.end()) {
+    const std::size_t words = rowWords_ * static_cast<std::size_t>(height_);
+    if ((fields_.size() + 1) * words * sizeof(std::uint64_t) >
+        kMaxFieldBytes) {
+      fields_.clear();
+    }
+    it = fields_.emplace(b, std::vector<std::uint64_t>(words)).first;
+    sweepReach(b, it->second.data());
+  }
+  return (it->second[word(a)] & bit(a.x)) != 0;
+}
+
+Distance PlanCache::distance(Point u, Point d) {
+  if (!passable(d)) return kUnreachable;
+  if (!dist_ || distRoot_ != d) {
+    distRoot_ = d;
+    dist_ = bfsDistances(qa_->localMesh(), d,
+                         [&](Point p) { return passable(p); });
+  }
+  return (*dist_)[u];
+}
+
+DetourPlanner::DetourPlanner(const QuadrantAnalysis& qa, bool exactFallback,
+                             PlanCache* cache)
+    : qa_(&qa), exactFallback_(exactFallback), cache_(cache) {
+  if (cache_ != nullptr) cache_->bind(qa);
 }
 
 std::optional<DetourPlanner::Plan> DetourPlanner::plan(
     Point u, Point d, const std::vector<int>* known, PathOrder order) {
-  Ctx ctx{d, known, {}, {}, kEvalBudget};
+  PlanCache* cache = known == nullptr ? cache_ : nullptr;
+  Ctx ctx{d, known, cache, {}, {}, kEvalBudget};
   evaluations_ = 0;
   Point target = d;
   const Distance dist = eval(ctx, u, &target);
@@ -49,10 +134,16 @@ std::optional<DetourPlanner::Plan> DetourPlanner::plan(
     // blocking sequence's corners are clear; dense fields can violate it.
     // The information model provides everything needed to evaluate the
     // exact distance field, so verify — and fall back when the recursion
-    // came up short (or found nothing).
+    // came up short (or found nothing). The fallback path is always read
+    // off the source-rooted field; the cache only answers the distance.
     const auto pass = [&](Point p) { return passable(p, known); };
-    const auto field = bfsDistances(qa_->localMesh(), u, pass);
-    const Distance exact = field[d];
+    std::optional<NodeMap<Distance>> field;
+    const auto sourceField = [&]() -> const NodeMap<Distance>& {
+      if (!field) field = bfsDistances(qa_->localMesh(), u, pass);
+      return *field;
+    };
+    const Distance exact =
+        cache != nullptr ? cache->distance(u, d) : sourceField()[d];
     if (exact == kUnreachable) return std::nullopt;
     if (dist == kUnreachable || dist > exact) {
       ++fallbacksTaken_;
@@ -61,7 +152,8 @@ std::optional<DetourPlanner::Plan> DetourPlanner::plan(
       fallback.target = d;
       fallback.direct = false;
       fallback.viaExactFallback = true;
-      fallback.legPath = extractBfsPath(qa_->localMesh(), field, u, d);
+      fallback.legPath =
+          extractBfsPath(qa_->localMesh(), sourceField(), u, d);
       return fallback;
     }
   }
@@ -88,19 +180,26 @@ Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
   const Mesh2D& mesh = qa_->localMesh();
   const auto pass = [&](Point p) { return passable(p, ctx.known); };
 
-  // Base case of Eq. 2: a Manhattan distance path exists.
-  MonotoneField field(mesh, a, ctx.d, pass);
-  if (field.targetReachable()) {
+  // Base case of Eq. 2: a Manhattan distance path exists. The forward
+  // field is built only when the cache cannot answer or the frontier below
+  // needs it.
+  std::optional<MonotoneField> field;
+  const bool direct = ctx.cache != nullptr
+                          ? ctx.cache->reaches(a, ctx.d)
+                          : field.emplace(mesh, a, ctx.d, pass)
+                                .targetReachable();
+  if (direct) {
     if (chosenTarget) *chosenTarget = ctx.d;
     return manhattan(a, ctx.d);
   }
   if (ctx.budget == 0) return kUnreachable;
   --ctx.budget;
+  if (!field) field.emplace(mesh, a, ctx.d, pass);
 
   // The closest blocking sequence: MCCs owning the frontier cells that cut
   // a from d, ordered along the cut (Eq. 1's F_1 .. F_n).
   std::vector<int> chainIds;
-  for (Point cell : field.blockingFrontier()) {
+  for (Point cell : field->blockingFrontier()) {
     const int id = qa_->mccIndexAt(cell);
     if (id >= 0) chainIds.push_back(id);
   }
@@ -188,8 +287,11 @@ Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
   for (Point q : candidates) {
     // The Manhattan leg a -> q must itself be clear (the paper's chains
     // guarantee this for their candidates; we verify instead of assume).
-    MonotoneField leg(mesh, a, q, pass);
-    if (!leg.targetReachable()) continue;
+    const bool legClear =
+        ctx.cache != nullptr
+            ? ctx.cache->reaches(a, q)
+            : MonotoneField(mesh, a, q, pass).targetReachable();
+    if (!legClear) continue;
 
     Distance rest;
     if (auto it = ctx.memo.find(q); it != ctx.memo.end()) {

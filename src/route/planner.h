@@ -12,8 +12,15 @@
 // Knowledge-parameterized: RB2 plans against every MCC (full information,
 // model B2); RB3 plans against the subset its current node has triples for
 // (model B3) and replans when the message bumps into an unknown MCC.
+//
+// Full-knowledge plans can share a PlanCache: every monotone-reachability
+// and exact-distance answer they ask for depends only on the quadrant's
+// MCC mask and the target cell, so one router's plans (a whole compiled
+// column, say) compute each answer once instead of once per plan.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -23,14 +30,77 @@
 
 namespace meshrt {
 
+/// Exact full-knowledge answers for one quadrant analysis (DESIGN.md
+/// section 3, item 4): the MCC mask, one monotone-reach bitset per
+/// target and the safe-node BFS distance field of the latest destination.
+/// Each answer equals what the uncached planner computes per call.
+class PlanCache {
+ public:
+  /// Reach fields are dropped all at once when one more would take them
+  /// past this many bytes, so a long-lived router's cache stays bounded
+  /// whatever it routes.
+  static constexpr std::size_t kMaxFieldBytes = std::size_t{4} << 20;
+
+  /// Binds to `qa`, dropping every cached answer, unless already bound to
+  /// this analysis at its current labeler version. The key is the address
+  /// and version, so `qa` must outlive the binding.
+  void bind(const QuadrantAnalysis& qa);
+
+  /// The cell belongs to no MCC (full-knowledge passability).
+  bool passable(Point p) const { return (mask_[word(p)] & bit(p.x)) != 0; }
+
+  /// MonotoneField(mesh, a, b, passable).targetReachable(), read from b's
+  /// reach field: one reverse sweep from b on the first query about b.
+  bool reaches(Point a, Point b);
+
+  /// bfsDistances(mesh, u, passable)[d], read from d's field (safe-node
+  /// distance is symmetric); only the latest d's field is kept.
+  /// kUnreachable when u or d is blocked.
+  Distance distance(Point u, Point d);
+
+  /// Bytes held by reach fields; at most the larger of one field and
+  /// kMaxFieldBytes.
+  std::size_t fieldBytes() const {
+    return fields_.size() * rowWords_ * static_cast<std::size_t>(height_) *
+           sizeof(std::uint64_t);
+  }
+
+ private:
+  // Bitsets (the mask and every reach field) give each row rowWords_
+  // 64-bit words; cell (x, y) is bit x % 64 of word(p).
+  std::size_t word(Point p) const {
+    return static_cast<std::size_t>(p.y) * rowWords_ +
+           static_cast<std::size_t>(p.x) / 64;
+  }
+  static std::uint64_t bit(Coord x) {
+    return std::uint64_t{1} << (static_cast<unsigned>(x) % 64);
+  }
+  /// Sets a's bit in the zeroed `bits` iff a monotone passable path a..b
+  /// exists.
+  void sweepReach(Point b, std::uint64_t* bits) const;
+
+  const QuadrantAnalysis* qa_ = nullptr;
+  std::uint64_t version_ = 0;
+  Coord height_ = 0;
+  std::size_t rowWords_ = 0;
+  std::vector<std::uint64_t> mask_;  // passable cells
+  std::unordered_map<Point, std::vector<std::uint64_t>, PointHash> fields_;
+  Point distRoot_;
+  std::optional<NodeMap<Distance>> dist_;  // BFS field rooted at distRoot_
+};
+
 class DetourPlanner {
  public:
   /// `exactFallback`: verify the Eq. 2-3 result against the exact distance
   /// field the knowledge supports, and fall back to it when the recursion's
   /// clear-Manhattan-leg assumption fails (dense fault fields). The
   /// paper-literal mode (false) is kept for the ablation bench.
+  /// `cache` (bound to `qa` here) answers full-knowledge plans; plans with
+  /// a `known` list, and every plan when it is null, compute each answer.
+  /// It must outlive the planner.
   explicit DetourPlanner(const QuadrantAnalysis& qa,
-                         bool exactFallback = true);
+                         bool exactFallback = true,
+                         PlanCache* cache = nullptr);
 
   struct Plan {
     /// Planned distance from u to d under the planner's knowledge.
@@ -65,16 +135,25 @@ class DetourPlanner {
   struct Ctx {
     Point d;
     const std::vector<int>* known;  // sorted ids, or nullptr for full
+    PlanCache* cache;               // non-null only for full knowledge
     std::unordered_map<Point, Distance, PointHash> memo;
     std::unordered_map<Point, bool, PointHash> inProgress;
     std::size_t budget = 0;
   };
 
-  bool passable(Point p, const std::vector<int>* known) const;
+  // Inline: the monotone fields call it once per rectangle cell.
+  bool passable(Point p, const std::vector<int>* known) const {
+    if (known == nullptr && cache_ != nullptr) return cache_->passable(p);
+    const int id = qa_->mccIndexAt(p);
+    if (id < 0) return true;  // safe node
+    if (known == nullptr) return false;
+    return !std::binary_search(known->begin(), known->end(), id);
+  }
   Distance eval(Ctx& ctx, Point a, Point* chosenTarget);
 
   const QuadrantAnalysis* qa_;
   bool exactFallback_;
+  PlanCache* cache_;
   std::size_t evaluations_ = 0;
   std::size_t fallbacksTaken_ = 0;
 

@@ -19,7 +19,8 @@ RouteResult Rb2Router::route(Point s, Point d) {
   Point u = frame.toLocal(s);
   if (!labels.isSafe(u) || !labels.isSafe(dL)) return result;
 
-  DetourPlanner planner(qa, exactFallback_);
+  DetourPlanner planner(qa, exactFallback_,
+                        &caches_[static_cast<std::size_t>(qa.quadrant())]);
   const std::size_t maxPhases = qa.mccs().size() * 4 + 8;
 
   while (u != dL && result.phases < maxPhases) {

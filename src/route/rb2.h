@@ -5,6 +5,8 @@
 // and repeats. Theorem 1: the delivered path is a shortest path.
 #pragma once
 
+#include <array>
+
 #include "info/reachability.h"
 #include "fault/analysis.h"
 #include "route/planner.h"
@@ -32,6 +34,11 @@ class Rb2Router : public Router {
   const FaultAnalysis* analysis_;
   PathOrder order_;
   bool exactFallback_;
+  /// One per quadrant, shared by every route through it; the planner
+  /// rebinds a cache whenever its analysis was patched since. route()
+  /// fills them, so a router serves one thread at a time, as every
+  /// Router does.
+  std::array<PlanCache, 4> caches_;
 };
 
 }  // namespace meshrt

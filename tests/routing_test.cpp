@@ -3,8 +3,11 @@
 // every router, and baseline behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "fault/analysis.h"
 #include "route/bfs.h"
@@ -14,6 +17,7 @@
 #include "route/rb1.h"
 #include "route/rb2.h"
 #include "route/rb3.h"
+#include "route/route_table.h"
 #include "route/validate.h"
 #include "test_util.h"
 
@@ -331,6 +335,231 @@ TEST(PlannerTest, LegPathMatchesPlannedDistanceWhenDirect) {
   EXPECT_EQ(plan->legPath.front(), (Point{1, 1}));
   EXPECT_EQ(plan->legPath.back(), (Point{8, 8}));
   EXPECT_EQ(static_cast<Distance>(plan->legPath.size()) - 1, plan->dist);
+}
+
+// PlanCache must answer exactly what the uncached planner computes per
+// call. The masks are random MCC masks on non-square meshes, in every
+// quadrant's frame, over every ordered pair: a == b, blocked endpoints and
+// pairs sharing a row or column included.
+std::vector<Mesh2D> planCacheMeshes() {
+  return {Mesh2D(13, 11), Mesh2D(16, 8), Mesh2D(5, 17)};
+}
+
+TEST(PlannerTest, CachedReachMatchesMonotoneField) {
+  std::size_t reachable = 0;
+  std::size_t cut = 0;  // both endpoints passable, no monotone path
+  std::size_t blockedEndpoint = 0;
+  std::uint64_t seed = 31;
+  // Reach bitsets give each row whole 64-bit words: the wide meshes have
+  // rows of two and three words, so sweeps carry across words, and the
+  // sparse one has passable runs longer than half a word.
+  std::vector<std::pair<Mesh2D, std::size_t>> meshes;  // mesh, fault %
+  for (const Mesh2D& mesh : planCacheMeshes()) meshes.push_back({mesh, 15});
+  meshes.push_back({Mesh2D(70, 4), 15});
+  meshes.push_back({Mesh2D(130, 2), 3});
+  for (const auto& [mesh, percent] : meshes) {
+    Rng rng(seed++);
+    const FaultSet faults = injectUniform(
+        mesh, static_cast<std::size_t>(mesh.nodeCount()) * percent / 100,
+        rng);
+    const FaultAnalysis fa(faults);
+    for (Quadrant quad : {Quadrant::NE, Quadrant::NW, Quadrant::SE,
+                          Quadrant::SW}) {
+      const QuadrantAnalysis& qa = fa.quadrant(quad);
+      const Mesh2D& local = qa.localMesh();
+      const auto pass = [&](Point p) { return qa.mccIndexAt(p) < 0; };
+      PlanCache cache;
+      cache.bind(qa);
+      // Source-major order: the first row builds every target's reach
+      // field and later rows read the kept fields.
+      for (NodeId ai = 0; ai < local.nodeCount(); ++ai) {
+        const Point a = local.point(ai);
+        for (NodeId bi = 0; bi < local.nodeCount(); ++bi) {
+          const Point b = local.point(bi);
+          const bool r = MonotoneField(local, a, b, pass).targetReachable();
+          if (r) {
+            ++reachable;
+          } else if (pass(a) && pass(b)) {
+            ++cut;
+          } else {
+            ++blockedEndpoint;
+          }
+          ASSERT_EQ(cache.reaches(a, b), r)
+              << "a=" << a.str() << " b=" << b.str();
+        }
+      }
+    }
+  }
+  EXPECT_GT(reachable, 0u);
+  EXPECT_GT(cut, 0u);
+  EXPECT_GT(blockedEndpoint, 0u);
+}
+
+TEST(PlannerTest, ReachFieldsStayUnderByteCap) {
+  // Every cell of a 100x100 mesh as a target: ~4x the fields the cap
+  // holds, so the cache drops them all several times and must answer
+  // exactly across each drop.
+  const Mesh2D mesh = Mesh2D::square(100);
+  Rng rng(73);
+  const FaultSet faults = injectUniform(mesh, 1000, rng);
+  const FaultAnalysis fa(faults);
+  const QuadrantAnalysis& qa = fa.quadrant(Quadrant::NE);
+  const auto pass = [&](Point p) { return qa.mccIndexAt(p) < 0; };
+  PlanCache cache;
+  cache.bind(qa);
+  std::size_t drops = 0;
+  std::size_t before = 0;
+  for (NodeId bi = 0; bi < mesh.nodeCount(); ++bi) {
+    const Point b = mesh.point(bi);
+    for (int k = 0; k < 2; ++k) {
+      const Point a = mesh.point(static_cast<NodeId>(
+          rng.below(static_cast<std::uint64_t>(mesh.nodeCount()))));
+      ASSERT_EQ(cache.reaches(a, b),
+                MonotoneField(mesh, a, b, pass).targetReachable())
+          << "a=" << a.str() << " b=" << b.str();
+    }
+    ASSERT_LE(cache.fieldBytes(), PlanCache::kMaxFieldBytes);
+    if (cache.fieldBytes() < before) ++drops;
+    before = cache.fieldBytes();
+  }
+  EXPECT_GE(drops, 3u);
+}
+
+TEST(PlannerTest, CachedDistanceMatchesBfs) {
+  std::size_t finite = 0;
+  std::size_t disconnected = 0;  // both endpoints passable, no safe path
+  std::uint64_t seed = 57;
+  for (const Mesh2D& mesh : planCacheMeshes()) {
+    Rng rng(seed++);
+    const FaultSet faults = injectUniform(
+        mesh, static_cast<std::size_t>(mesh.nodeCount()) * 20 / 100, rng);
+    const FaultAnalysis fa(faults);
+    for (Quadrant quad : {Quadrant::NE, Quadrant::NW, Quadrant::SE,
+                          Quadrant::SW}) {
+      const QuadrantAnalysis& qa = fa.quadrant(quad);
+      const Mesh2D& local = qa.localMesh();
+      const auto pass = [&](Point p) { return qa.mccIndexAt(p) < 0; };
+      // The planner's check reads the source-rooted field at d.
+      std::vector<NodeMap<Distance>> fromSource;
+      for (NodeId ui = 0; ui < local.nodeCount(); ++ui) {
+        fromSource.push_back(bfsDistances(local, local.point(ui), pass));
+      }
+      PlanCache cache;
+      cache.bind(qa);
+      // Destination-major order reads each kept field C times; the
+      // source-major pass switches destination on every call.
+      for (const bool destinationMajor : {true, false}) {
+        for (NodeId i = 0; i < local.nodeCount(); ++i) {
+          for (NodeId j = 0; j < local.nodeCount(); ++j) {
+            const NodeId ui = destinationMajor ? j : i;
+            const NodeId di = destinationMajor ? i : j;
+            const Point u = local.point(ui);
+            const Point d = local.point(di);
+            const Distance expected =
+                pass(u) && pass(d)
+                    ? fromSource[static_cast<std::size_t>(ui)][d]
+                    : kUnreachable;
+            if (destinationMajor && pass(u) && pass(d)) {
+              ++(expected == kUnreachable ? disconnected : finite);
+            }
+            ASSERT_EQ(cache.distance(u, d), expected)
+                << "u=" << u.str() << " d=" << d.str();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(finite, 0u);
+  EXPECT_GT(disconnected, 0u);
+}
+
+TEST(PlannerTest, Rb2CacheRebindsAcrossFaultToggles) {
+  // One Rb2Router held across fault toggles, as DynamicSweep and the NoC
+  // hold theirs: its per-quadrant caches must follow every patch of the
+  // analysis (same object, new labeler version), so after each toggle it
+  // routes exactly like a router built fresh over the patched analysis.
+  const Coord n = 20;
+  const Mesh2D mesh = Mesh2D::square(n);
+  Rng rng(2718);
+  DynamicFaultModel model(injectUniform(mesh, 50, rng));
+  Rb2Router held(model.analysis());
+  const QuadrantAnalysis& ne = model.analysis().quadrant(Quadrant::NE);
+
+  // A healthy cell whose 8-neighbourhood touches two MCCs: faulting it
+  // merges them, and repairing it again splits them.
+  auto bridgeCell = [&]() -> std::optional<Point> {
+    for (int attempt = 0; attempt < 400; ++attempt) {
+      const Point c = randomHealthy(model.faults(), rng);
+      if (!ne.isSafeWorld(c)) continue;
+      std::vector<int> ids;
+      for (Coord dy = -1; dy <= 1; ++dy) {
+        for (Coord dx = -1; dx <= 1; ++dx) {
+          const Point q{c.x + dx, c.y + dy};
+          if (!mesh.contains(q)) continue;
+          const int id = ne.mccIndexAt(ne.frame().toLocal(q));
+          if (id >= 0 && std::find(ids.begin(), ids.end(), id) == ids.end()) {
+            ids.push_back(id);
+          }
+        }
+      }
+      if (ids.size() >= 2) return c;
+    }
+    return std::nullopt;
+  };
+
+  std::size_t merges = 0;
+  std::size_t splits = 0;
+  std::optional<Point> bridged;
+  for (int round = 0; round < 36; ++round) {
+    // Route before the toggle too, so every cache is bound to the
+    // pre-toggle version when the patch lands.
+    for (int k = 0; k < 8; ++k) {
+      held.route(randomHealthy(model.faults(), rng),
+                 randomHealthy(model.faults(), rng));
+    }
+    const std::size_t before = ne.mccCount();
+    bool added = false;
+    if (bridged) {
+      model.removeFault(*bridged);
+      bridged.reset();
+    } else if (round % 3 == 2) {
+      const Point p = model.faults().toVector()[rng.below(
+          model.faults().count())];
+      model.removeFault(p);
+    } else if (const auto c = bridgeCell()) {
+      model.addFault(*c);
+      bridged = c;
+      added = true;
+    } else {
+      model.addFault(randomHealthy(model.faults(), rng));
+      added = true;
+    }
+    const std::size_t after = ne.mccCount();
+    if (added && after < before) ++merges;
+    if (!added && after > before) ++splits;
+
+    Rb2Router fresh(model.analysis());
+    for (int k = 0; k < 30; ++k) {
+      const Point s = randomHealthy(model.faults(), rng);
+      const Point d = randomHealthy(model.faults(), rng);
+      const RouteResult a = held.route(s, d);
+      const RouteResult b = fresh.route(s, d);
+      ASSERT_EQ(a.delivered, b.delivered) << "round " << round;
+      ASSERT_EQ(a.phases, b.phases) << "round " << round;
+      ASSERT_EQ(a.path, b.path) << "round " << round;
+    }
+    const Point dest = randomHealthy(model.faults(), rng);
+    const RouteColumn heldColumn =
+        compileRouteColumn(held, model.faults(), dest);
+    const RouteColumn freshColumn =
+        compileRouteColumn(fresh, model.faults(), dest);
+    for (NodeId id = 0; id < mesh.nodeCount(); ++id) {
+      ASSERT_EQ(heldColumn.next(id), freshColumn.next(id))
+          << "round " << round << " node " << mesh.point(id).str();
+    }
+  }
+  EXPECT_GT(merges, 0u);
+  EXPECT_GT(splits, 0u);
 }
 
 TEST(RoutingChain, MultiPhaseThroughTwoChains) {

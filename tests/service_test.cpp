@@ -24,6 +24,8 @@
 #include "common/epoch.h"
 #include "common/rng.h"
 #include "fault/injectors.h"
+#include "route/planner.h"
+#include "route/rb2.h"
 #include "route/route_table.h"
 #include "route/validate.h"
 #include "service/route_service.h"
@@ -171,6 +173,103 @@ TEST(RouteTableTest, TableServedMatchesHopReferenceForEveryRegistryKey) {
         const ServedRoute ref = hopReference(*direct, faults, q.s, q.d);
         const ServedRoute served = tableized->serve(q.s, q.d);
         expectSameRoute(served, ref);
+      }
+    }
+  }
+}
+
+/// Rb2Router::route's phase loop over the uncached planner, the path rb3
+/// plans on: the reference the plan cache must reproduce byte for byte.
+class UncachedRb2 final : public Router {
+ public:
+  UncachedRb2(const FaultAnalysis& analysis, bool exactFallback)
+      : analysis_(&analysis), exactFallback_(exactFallback) {}
+
+  std::string_view name() const override { return "RB2(uncached)"; }
+
+  RouteResult route(Point s, Point d) override {
+    RouteResult result;
+    result.path.push_back(s);
+    if (s == d) {
+      result.delivered = true;
+      return result;
+    }
+    const QuadrantAnalysis& qa = analysis_->forPair(s, d);
+    const Frame& frame = qa.frame();
+    const Point dL = frame.toLocal(d);
+    Point u = frame.toLocal(s);
+    if (!qa.labels().isSafe(u) || !qa.labels().isSafe(dL)) return result;
+    DetourPlanner planner(qa, exactFallback_, nullptr);
+    const std::size_t maxPhases = qa.mccs().size() * 4 + 8;
+    while (u != dL && result.phases < maxPhases) {
+      const auto plan = planner.plan(u, dL, /*known=*/nullptr);
+      if (!plan || plan->legPath.empty()) break;
+      for (std::size_t i = 1; i < plan->legPath.size(); ++i) {
+        result.path.push_back(frame.toWorld(plan->legPath[i]));
+      }
+      u = plan->target;
+      ++result.phases;
+    }
+    fallbacks_ += planner.fallbacksTaken();
+    result.delivered = (u == dL);
+    return result;
+  }
+
+  std::size_t fallbacksTaken() const { return fallbacks_; }
+
+ private:
+  const FaultAnalysis* analysis_;
+  bool exactFallback_;
+  std::size_t fallbacks_ = 0;
+};
+
+TEST(RouteTableTest, Rb2PlanCacheMatchesUncachedPlanner) {
+  // rb2 and rb2-literal compile through per-quadrant plan caches; every
+  // column byte and every routed path must equal the uncached planner's.
+  struct Config {
+    Coord size;
+    int faultPct;
+    bool dense;  // Eq. 3's clear-leg premise fails somewhere here
+  };
+  for (const Config cfg :
+       {Config{12, 30, false}, Config{16, 5, false}, Config{20, 25, false},
+        Config{24, 10, false}, Config{28, 30, true}, Config{32, 15, false},
+        Config{32, 25, true}, Config{32, 30, true}}) {
+    const Mesh2D mesh = Mesh2D::square(cfg.size);
+    Rng rng = Rng::forStream(1507, static_cast<std::uint64_t>(cfg.size) * 100 +
+                                       static_cast<std::uint64_t>(cfg.faultPct));
+    const FaultSet faults = injectUniform(
+        mesh,
+        static_cast<std::size_t>(mesh.nodeCount() * cfg.faultPct / 100), rng);
+    const FaultAnalysis fa(faults);
+    for (const bool exactFallback : {true, false}) {
+      SCOPED_TRACE(std::to_string(cfg.size) + "x" + std::to_string(cfg.size) +
+                   " " + std::to_string(cfg.faultPct) + "% " +
+                   (exactFallback ? "rb2" : "rb2-literal"));
+      Rb2Router cached(fa, PathOrder::Balanced, exactFallback);
+      UncachedRb2 reference(fa, exactFallback);
+      for (int k = 0; k < 4; ++k) {
+        const Point dest = randomHealthy(faults, rng);
+        const RouteColumn got = compileRouteColumn(cached, faults, dest);
+        const RouteColumn want = compileRouteColumn(reference, faults, dest);
+        for (NodeId id = 0; id < mesh.nodeCount(); ++id) {
+          ASSERT_EQ(got.next(id), want.next(id))
+              << "dest " << dest.str() << " node " << mesh.point(id).str();
+        }
+      }
+      for (int k = 0; k < 60; ++k) {
+        const Point s = randomHealthy(faults, rng);
+        const Point d = randomHealthy(faults, rng);
+        const RouteResult got = cached.route(s, d);
+        const RouteResult want = reference.route(s, d);
+        ASSERT_EQ(got.delivered, want.delivered) << s.str() << "->" << d.str();
+        ASSERT_EQ(got.phases, want.phases) << s.str() << "->" << d.str();
+        ASSERT_EQ(got.path, want.path) << s.str() << "->" << d.str();
+      }
+      // The exact fallback, and with it the source-rooted BFS its path is
+      // read from, runs on the dense fields.
+      if (exactFallback && cfg.dense) {
+        EXPECT_GT(reference.fallbacksTaken(), 0u);
       }
     }
   }
