@@ -54,45 +54,8 @@ void MonotoneField::sweep() {
 }
 
 std::vector<Point> MonotoneField::extractPath(PathOrder order) const {
-  std::vector<Point> path;
-  if (!targetReachable()) return path;
-  Point p = b_;
-  path.push_back(p);
-  while (p != a_) {
-    // Walk backward from b choosing a reachable predecessor. Balanced:
-    // undo the dimension with the larger remaining delta — the "fully
-    // adaptive" selection of Algorithm 2, which keeps both dimensions open
-    // and paths central. XFirst: undo Y first (so the forward path runs
-    // X-then-Y), yielding dimension-ordered legs.
-    const Point px{p.x - stepX_, p.y};
-    const Point py{p.x, p.y - stepY_};
-    const bool canX = stepX_ != 0 && p.x != a_.x && reachable(px);
-    const bool canY = stepY_ != 0 && p.y != a_.y && reachable(py);
-    bool pickX;
-    if (order == PathOrder::XFirst) {
-      pickX = canX && !canY;
-      if (canX && canY) pickX = false;  // undo Y while possible
-    } else {
-      const auto dx = static_cast<Distance>(p.x > a_.x ? p.x - a_.x
-                                                       : a_.x - p.x);
-      const auto dy = static_cast<Distance>(p.y > a_.y ? p.y - a_.y
-                                                       : a_.y - p.y);
-      pickX = canX && (!canY || dx >= dy);
-    }
-    if (pickX) {
-      p = px;
-    } else if (canY) {
-      p = py;
-    } else if (canX) {
-      p = px;
-    } else {
-      assert(false && "extractPath: no reachable predecessor");
-      return {};
-    }
-    path.push_back(p);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+  return extractMonotonePath(a_, b_, order,
+                             [this](Point p) { return reachable(p); });
 }
 
 std::vector<Point> MonotoneField::blockingFrontier() const {

@@ -5,6 +5,8 @@
 // blocking sequences (Eq. 1) without any geometric approximation.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +20,55 @@ namespace meshrt {
 /// staircase with a single turn per leg — same length, but XY-compatible
 /// turn structure for the wormhole network layer.
 enum class PathOrder : std::uint8_t { Balanced, XFirst };
+
+/// MonotoneField::extractPath's walk over any reach set: from b back to a,
+/// each step undoing one move toward b onto a `reached` predecessor. Empty
+/// unless reached(b). `reached` must describe a monotone reach set from a.
+template <typename Reached>
+std::vector<Point> extractMonotonePath(Point a, Point b, PathOrder order,
+                                       Reached&& reached) {
+  std::vector<Point> path;
+  if (!reached(b)) return path;
+  const Coord stepX = b.x > a.x ? 1 : (b.x < a.x ? -1 : 0);
+  const Coord stepY = b.y > a.y ? 1 : (b.y < a.y ? -1 : 0);
+  Point p = b;
+  path.push_back(p);
+  while (p != a) {
+    // Walk backward from b choosing a reachable predecessor. Balanced:
+    // undo the dimension with the larger remaining delta — the "fully
+    // adaptive" selection of Algorithm 2, which keeps both dimensions open
+    // and paths central. XFirst: undo Y first (so the forward path runs
+    // X-then-Y), yielding dimension-ordered legs.
+    const Point px{p.x - stepX, p.y};
+    const Point py{p.x, p.y - stepY};
+    const bool canX = stepX != 0 && p.x != a.x && reached(px);
+    const bool canY = stepY != 0 && p.y != a.y && reached(py);
+    bool pickX;
+    if (order == PathOrder::XFirst) {
+      pickX = canX && !canY;  // undo Y while possible
+    } else {
+      const auto dx =
+          static_cast<Distance>(p.x > a.x ? p.x - a.x : a.x - p.x);
+      const auto dy =
+          static_cast<Distance>(p.y > a.y ? p.y - a.y : a.y - p.y);
+      pickX = canX && (!canY || dx >= dy);
+    }
+    if (pickX) {
+      p = px;
+    } else if (canY) {
+      p = py;
+    } else if (canX) {
+      p = px;
+    } else {
+      assert(false && "extractMonotonePath: no reached predecessor");
+      return {};
+    }
+    path.push_back(p);
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
 
 class MonotoneField {
  public:

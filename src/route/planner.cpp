@@ -1,6 +1,7 @@
 #include "route/planner.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "route/bfs.h"
 
@@ -11,6 +12,42 @@ namespace {
 /// Recursion budget per plan() call; generous (typical routes evaluate a
 /// handful of corners) but bounds adversarial fault layouts.
 constexpr std::size_t kEvalBudget = 4096;
+
+// One half-row pass of a word-parallel monotone sweep. The reached cells
+// in row[lo..hi] spread through runs of passable cells (m) away from
+// their seeds, 64 cells per word operation: eastward by the carry of an
+// addition, westward by doubling shifts. Returns the OR of the result.
+std::uint64_t spreadEast(const std::uint64_t* m, std::uint64_t* row,
+                         std::size_t lo, std::size_t hi) {
+  std::uint64_t any = 0;
+  std::uint64_t carry = 0;
+  for (std::size_t w = lo; w <= hi; ++w) {
+    const std::uint64_t s = (row[w] | carry) & m[w];
+    const std::uint64_t f = (((m[w] + s) ^ m[w]) & m[w]) | s;
+    carry = f >> 63;
+    row[w] = f;
+    any |= f;
+  }
+  return any;
+}
+
+std::uint64_t spreadWest(const std::uint64_t* m, std::uint64_t* row,
+                         std::size_t lo, std::size_t hi) {
+  std::uint64_t any = 0;
+  std::uint64_t carry = 0;
+  for (std::size_t w = hi + 1; w-- > lo;) {
+    std::uint64_t g = (row[w] | carry) & m[w];
+    std::uint64_t p = m[w];
+    for (unsigned shift = 1; shift < 64; shift *= 2) {
+      g |= p & (g >> shift);
+      p &= p >> shift;
+    }
+    carry = g << 63;
+    row[w] = g;
+    any |= g;
+  }
+  return any;
+}
 
 }  // namespace
 
@@ -28,6 +65,8 @@ void PlanCache::bind(const QuadrantAnalysis& qa) {
     }
   }
   fields_.clear();
+  fwd_.assign(mask_.size(), 0);
+  fwdRect_ = Rect{};
   dist_.reset();
 }
 
@@ -37,9 +76,8 @@ void PlanCache::sweepReach(Point b, std::uint64_t* bits) const {
   // reaches b. Rows are settled outward from b's row: a cell is seeded
   // when the cell one row nearer b reaches b, and seeds spread away from
   // b's column through runs of passable cells (the step along the row).
-  // Each half row is one pass over its 64-cell words: eastward by the
-  // carry of an addition, westward by doubling shifts. Cells in b's row
-  // or column lie in two halves and get the same answer in each.
+  // Cells in b's row or column lie in two halves and get the same answer
+  // in each.
   const std::size_t wb = static_cast<std::size_t>(b.x) / 64;
   std::vector<std::uint64_t> east(rowWords_);
   std::vector<std::uint64_t> west(rowWords_);
@@ -50,29 +88,10 @@ void PlanCache::sweepReach(Point b, std::uint64_t* bits) const {
     for (Coord y = b.y; y >= 0 && y < height_; y += sy) {
       const std::uint64_t* m = mask_.data() + word({0, y});
       std::uint64_t* out = bits + word({0, y});
-      std::uint64_t any = 0;
-      std::uint64_t carry = 0;
-      for (std::size_t w = wb; w < rowWords_; ++w) {
-        const std::uint64_t s = (east[w] | carry) & m[w];
-        const std::uint64_t f = (((m[w] + s) ^ m[w]) & m[w]) | s;
-        carry = f >> 63;
-        east[w] = f;
-        out[w] |= f;
-        any |= f;
-      }
-      carry = 0;
-      for (std::size_t w = wb + 1; w-- > 0;) {
-        std::uint64_t g = (west[w] | carry) & m[w];
-        std::uint64_t p = m[w];
-        for (unsigned shift = 1; shift < 64; shift *= 2) {
-          g |= p & (g >> shift);
-          p &= p >> shift;
-        }
-        carry = g << 63;
-        west[w] = g;
-        out[w] |= g;
-        any |= g;
-      }
+      const std::uint64_t any = spreadEast(m, east.data(), wb, rowWords_ - 1) |
+                                spreadWest(m, west.data(), 0, wb);
+      for (std::size_t w = wb; w < rowWords_; ++w) out[w] |= east[w];
+      for (std::size_t w = 0; w <= wb; ++w) out[w] |= west[w];
       if (any == 0) break;  // no seeds left for the rows beyond
     }
   }
@@ -102,6 +121,86 @@ Distance PlanCache::distance(Point u, Point d) {
   return (*dist_)[u];
 }
 
+std::uint64_t PlanCache::fwdColumns(std::size_t w) const {
+  std::uint64_t cols = ~std::uint64_t{0};
+  if (w == static_cast<std::size_t>(fwdRect_.x0) / 64) {
+    cols &= ~(bit(fwdRect_.x0) - 1);
+  }
+  if (w == static_cast<std::size_t>(fwdRect_.x1) / 64) {
+    cols &= (bit(fwdRect_.x1) << 1) - 1;
+  }
+  return cols;
+}
+
+void PlanCache::sweepForward(Point a, Point b) {
+  fwdRect_ = Rect::between(a, b);
+  // Rows run from a's toward b's, each seeded from the row before (a
+  // alone in a's row) and spread toward b's column. A spread runs on past
+  // the rectangle to the end of its word; cells out there only ever seed
+  // cells further out, and every reader masks them off.
+  const std::size_t lo = static_cast<std::size_t>(fwdRect_.x0) / 64;
+  const std::size_t hi = static_cast<std::size_t>(fwdRect_.x1) / 64;
+  const bool east = b.x >= a.x;
+  const Coord sy = b.y >= a.y ? 1 : -1;
+  const std::uint64_t* prev = nullptr;
+  for (Coord y = a.y;; y += sy) {
+    const std::uint64_t* m = mask_.data() + word({0, y});
+    std::uint64_t* row = fwd_.data() + word({0, y});
+    if (prev == nullptr) {
+      std::fill(row + lo, row + hi + 1, std::uint64_t{0});
+      row[static_cast<std::size_t>(a.x) / 64] = bit(a.x);
+    } else {
+      std::copy(prev + lo, prev + hi + 1, row + lo);
+    }
+    if (east) {
+      spreadEast(m, row, lo, hi);
+    } else {
+      spreadWest(m, row, lo, hi);
+    }
+    if (y == b.y) break;
+    prev = row;
+  }
+}
+
+std::vector<Point> PlanCache::blockingFrontier(Point a, Point b) {
+  sweepForward(a, b);
+  std::vector<Point> frontier;
+  if (forwardReached(b)) return frontier;
+  // Blocked cells of the rectangle one step toward b from a reached cell:
+  // from the reached cells of the same row shifted one column toward b,
+  // or of the row one step nearer a.
+  const std::size_t lo = static_cast<std::size_t>(fwdRect_.x0) / 64;
+  const std::size_t hi = static_cast<std::size_t>(fwdRect_.x1) / 64;
+  for (Coord y = fwdRect_.y0; y <= fwdRect_.y1; ++y) {
+    const std::uint64_t* m = mask_.data() + word({0, y});
+    const std::uint64_t* row = fwd_.data() + word({0, y});
+    const std::uint64_t* nearer =
+        y == a.y ? nullptr
+                 : fwd_.data() + word({0, b.y > a.y ? y - 1 : y + 1});
+    for (std::size_t w = lo; w <= hi; ++w) {
+      std::uint64_t from = nearer != nullptr ? nearer[w] : 0;
+      if (b.x > a.x) {
+        from |= (row[w] << 1) | (w > lo ? row[w - 1] >> 63 : 0);
+      } else if (b.x < a.x) {
+        from |= (row[w] >> 1) | (w < hi ? row[w + 1] << 63 : 0);
+      }
+      for (std::uint64_t f = from & ~m[w] & fwdColumns(w); f != 0;
+           f &= f - 1) {
+        const auto x = static_cast<Coord>(w * 64) + std::countr_zero(f);
+        frontier.push_back({x, y});
+      }
+    }
+  }
+  return frontier;
+}
+
+std::vector<Point> PlanCache::monotonePath(Point a, Point b,
+                                           PathOrder order) {
+  sweepForward(a, b);
+  return extractMonotonePath(a, b, order,
+                             [this](Point p) { return forwardReached(p); });
+}
+
 DetourPlanner::DetourPlanner(const QuadrantAnalysis& qa, bool exactFallback,
                              PlanCache* cache)
     : qa_(&qa), exactFallback_(exactFallback), cache_(cache) {
@@ -123,9 +222,7 @@ std::optional<DetourPlanner::Plan> DetourPlanner::plan(
     plan.dist = dist;
     plan.target = d;
     plan.direct = true;
-    MonotoneField leg(qa_->localMesh(), u, d,
-                      [&](Point p) { return passable(p, known); });
-    plan.legPath = leg.extractPath(order);
+    plan.legPath = legPath(u, d, known, order);
     return plan;
   }
 
@@ -163,10 +260,19 @@ std::optional<DetourPlanner::Plan> DetourPlanner::plan(
   plan.dist = dist;
   plan.target = target;
   plan.direct = (target == d);
-  MonotoneField leg(qa_->localMesh(), u, target,
-                    [&](Point p) { return passable(p, known); });
-  plan.legPath = leg.extractPath(order);
+  plan.legPath = legPath(u, target, known, order);
   return plan;
+}
+
+std::vector<Point> DetourPlanner::legPath(Point u, Point target,
+                                          const std::vector<int>* known,
+                                          PathOrder order) {
+  if (known == nullptr && cache_ != nullptr) {
+    return cache_->monotonePath(u, target, order);
+  }
+  return MonotoneField(qa_->localMesh(), u, target,
+                       [&](Point p) { return passable(p, known); })
+      .extractPath(order);
 }
 
 Distance DetourPlanner::distance(Point u, Point d,
@@ -180,26 +286,22 @@ Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
   const Mesh2D& mesh = qa_->localMesh();
   const auto pass = [&](Point p) { return passable(p, ctx.known); };
 
-  // Base case of Eq. 2: a Manhattan distance path exists. The forward
-  // field is built only when the cache cannot answer or the frontier below
-  // needs it.
+  // Base case of Eq. 2: a Manhattan distance path exists. Without a
+  // cache, one forward field answers it and the frontier below.
   std::optional<MonotoneField> field;
-  const bool direct = ctx.cache != nullptr
-                          ? ctx.cache->reaches(a, ctx.d)
-                          : field.emplace(mesh, a, ctx.d, pass)
-                                .targetReachable();
-  if (direct) {
+  if (ctx.cache == nullptr) field.emplace(mesh, a, ctx.d, pass);
+  if (field ? field->targetReachable() : ctx.cache->reaches(a, ctx.d)) {
     if (chosenTarget) *chosenTarget = ctx.d;
     return manhattan(a, ctx.d);
   }
   if (ctx.budget == 0) return kUnreachable;
   --ctx.budget;
-  if (!field) field.emplace(mesh, a, ctx.d, pass);
 
   // The closest blocking sequence: MCCs owning the frontier cells that cut
   // a from d, ordered along the cut (Eq. 1's F_1 .. F_n).
   std::vector<int> chainIds;
-  for (Point cell : field->blockingFrontier()) {
+  for (Point cell : field ? field->blockingFrontier()
+                          : ctx.cache->blockingFrontier(a, ctx.d)) {
     const int id = qa_->mccIndexAt(cell);
     if (id >= 0) chainIds.push_back(id);
   }

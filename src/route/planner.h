@@ -32,7 +32,8 @@ namespace meshrt {
 
 /// Exact full-knowledge answers for one quadrant analysis (DESIGN.md
 /// section 3, item 4): the MCC mask, one monotone-reach bitset per
-/// target and the safe-node BFS distance field of the latest destination.
+/// target, one forward bitset for the latest rectangle swept from its
+/// source and the safe-node BFS distance field of the latest destination.
 /// Each answer equals what the uncached planner computes per call.
 class PlanCache {
  public:
@@ -58,6 +59,24 @@ class PlanCache {
   /// kUnreachable when u or d is blocked.
   Distance distance(Point u, Point d);
 
+  /// Sweeps MonotoneField(mesh, a, b, passable)'s reach set into the one
+  /// forward bitset: the cells of rect(a, b) that a monotone passable path
+  /// joins to a. A monotone path reversed is still monotone, so this is
+  /// a's reach field clipped to the rectangle, swept from a's end instead
+  /// of stored per source.
+  void sweepForward(Point a, Point b);
+
+  /// MonotoneField::reachable(p) for the latest sweepForward.
+  bool forwardReached(Point p) const {
+    return fwdRect_.contains(p) && (fwd_[word(p)] & bit(p.x)) != 0;
+  }
+
+  /// MonotoneField(mesh, a, b, passable).blockingFrontier(), same order.
+  std::vector<Point> blockingFrontier(Point a, Point b);
+
+  /// MonotoneField(mesh, a, b, passable).extractPath(order).
+  std::vector<Point> monotonePath(Point a, Point b, PathOrder order);
+
   /// Bytes held by reach fields; at most the larger of one field and
   /// kMaxFieldBytes.
   std::size_t fieldBytes() const {
@@ -78,6 +97,8 @@ class PlanCache {
   /// Sets a's bit in the zeroed `bits` iff a monotone passable path a..b
   /// exists.
   void sweepReach(Point b, std::uint64_t* bits) const;
+  /// Bits of the latest forward rectangle's columns in word w of a row.
+  std::uint64_t fwdColumns(std::size_t w) const;
 
   const QuadrantAnalysis* qa_ = nullptr;
   std::uint64_t version_ = 0;
@@ -85,6 +106,8 @@ class PlanCache {
   std::size_t rowWords_ = 0;
   std::vector<std::uint64_t> mask_;  // passable cells
   std::unordered_map<Point, std::vector<std::uint64_t>, PointHash> fields_;
+  std::vector<std::uint64_t> fwd_;  // sweepForward's bitset
+  Rect fwdRect_;                     // and its rectangle
   Point distRoot_;
   std::optional<NodeMap<Distance>> dist_;  // BFS field rooted at distRoot_
 };
@@ -150,6 +173,9 @@ class DetourPlanner {
     return !std::binary_search(known->begin(), known->end(), id);
   }
   Distance eval(Ctx& ctx, Point a, Point* chosenTarget);
+  /// MonotoneField(u, target)'s extracted path under `known`.
+  std::vector<Point> legPath(Point u, Point target,
+                             const std::vector<int>* known, PathOrder order);
 
   const QuadrantAnalysis* qa_;
   bool exactFallback_;

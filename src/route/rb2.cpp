@@ -4,6 +4,15 @@
 
 namespace meshrt {
 
+std::optional<DetourPlanner::Plan> Rb2Router::phase(const QuadrantAnalysis& qa,
+                                                    Point u, Point dL) {
+  DetourPlanner planner(qa, exactFallback_,
+                        &caches_[static_cast<std::size_t>(qa.quadrant())]);
+  auto plan = planner.plan(u, dL, /*known=*/nullptr, order_);
+  if (!plan || plan->legPath.empty()) return std::nullopt;
+  return plan;
+}
+
 RouteResult Rb2Router::route(Point s, Point d) {
   RouteResult result;
   result.path.push_back(s);
@@ -19,13 +28,10 @@ RouteResult Rb2Router::route(Point s, Point d) {
   Point u = frame.toLocal(s);
   if (!labels.isSafe(u) || !labels.isSafe(dL)) return result;
 
-  DetourPlanner planner(qa, exactFallback_,
-                        &caches_[static_cast<std::size_t>(qa.quadrant())]);
   const std::size_t maxPhases = qa.mccs().size() * 4 + 8;
-
   while (u != dL && result.phases < maxPhases) {
-    const auto plan = planner.plan(u, dL, /*known=*/nullptr, order_);
-    if (!plan || plan->legPath.empty()) return result;  // no safe detour
+    const auto plan = phase(qa, u, dL);
+    if (!plan) return result;  // no safe detour
     for (std::size_t i = 1; i < plan->legPath.size(); ++i) {
       result.path.push_back(frame.toWorld(plan->legPath[i]));
     }
@@ -34,6 +40,19 @@ RouteResult Rb2Router::route(Point s, Point d) {
   }
   result.delivered = (u == dL);
   return result;
+}
+
+std::optional<Point> Rb2Router::firstHop(Point s, Point d) {
+  if (!exactFallback_) return Router::firstHop(s, d);
+  if (s == d) return std::nullopt;
+  const QuadrantAnalysis& qa = analysis_->forPair(s, d);
+  const Frame& frame = qa.frame();
+  const Point dL = frame.toLocal(d);
+  const Point u = frame.toLocal(s);
+  if (!qa.labels().isSafe(u) || !qa.labels().isSafe(dL)) return std::nullopt;
+  const auto plan = phase(qa, u, dL);
+  if (!plan) return std::nullopt;
+  return frame.toWorld(plan->legPath[1]);
 }
 
 }  // namespace meshrt

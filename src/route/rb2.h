@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 
 #include "info/reachability.h"
 #include "fault/analysis.h"
@@ -30,7 +31,19 @@ class Rb2Router : public Router {
 
   RouteResult route(Point s, Point d) override;
 
+  /// With the exact fallback, one plan: every plan then ends on a shortest
+  /// path, so the exact distance left falls each phase, no MCC corner is
+  /// targeted twice, and route() delivers exactly when its first plan
+  /// exists. Nothing bounds rb2-literal's later phases, so it routes in
+  /// full.
+  std::optional<Point> firstHop(Point s, Point d) override;
+
  private:
+  /// One phase from u toward dL (both local to qa's frame): the plan
+  /// whose leg route() walks, or nullopt when no safe detour exists.
+  std::optional<DetourPlanner::Plan> phase(const QuadrantAnalysis& qa,
+                                           Point u, Point dL);
+
   const FaultAnalysis* analysis_;
   PathOrder order_;
   bool exactFallback_;

@@ -15,11 +15,11 @@ std::uint8_t firstHopByte(Router& router, const FaultSet& faults, Point s,
   if (s == dest || faults.isFaulty(s) || faults.isFaulty(dest)) {
     return RouteColumn::kNoRoute;
   }
-  const RouteResult res = router.route(s, dest);
-  if (!res.delivered || res.path.size() < 2) return RouteColumn::kNoRoute;
+  const std::optional<Point> next = router.firstHop(s, dest);
+  if (!next) return RouteColumn::kNoRoute;
   // First hops are neighbor steps for every router in the registry;
   // anything else would corrupt the byte encoding, so drop it.
-  const Point d4 = res.path[1] - s;
+  const Point d4 = *next - s;
   for (Dir dir : kAllDirs) {
     if (offset(dir) == d4) return static_cast<std::uint8_t>(dir);
   }

@@ -13,9 +13,11 @@
 // DESIGN.md section 7.1.
 //
 // Under fault churn, columns are patched instead of recompiled: a fault
-// toggle can only affect entries whose chase trajectory touches the
+// toggle can only invalidate entries whose chase trajectory touches the
 // delta's label-change footprint (chases are suffix-closed, so any chase
-// avoiding the footprint is byte-for-byte unaffected), and
+// avoiding the footprint still serves a valid path, though not always
+// the one a fresh compile would: rb2's first hop also reads labels off
+// its chase), and
 // chaseUpstream() finds exactly those entries by reverse reachability
 // from the footprint over the column's hop graph — output-sensitive
 // O(|affected| + |footprint|), the table layer's half of the O(delta)
@@ -119,12 +121,12 @@ class RouteColumn {
   std::size_t routedSources_ = 0;
 };
 
-/// Compiles the column for `dest`: one router.route(u, dest) per healthy
-/// source u, storing first hops.
+/// Compiles the column for `dest`: one router.firstHop(u, dest) per
+/// healthy source u.
 RouteColumn compileRouteColumn(Router& router, const FaultSet& faults,
                                Point dest);
 
-/// First hop of router.route(s, dest) as a stored hop byte: a Dir cast,
+/// router.firstHop(s, dest) as a stored hop byte: a Dir cast,
 /// or RouteColumn::kNoRoute when the router has no route (or s is the
 /// destination, or an endpoint is faulty). The single source of truth
 /// both column encodings compile and patch through — bit-identity of

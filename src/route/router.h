@@ -4,6 +4,7 @@
 // normalizes s to the origin with d in the first quadrant.
 #pragma once
 
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -31,6 +32,15 @@ class Router {
   virtual ~Router() = default;
   virtual std::string_view name() const = 0;
   virtual RouteResult route(Point s, Point d) = 0;
+
+  /// The node after s on route(s, d), or nullopt when that route does not
+  /// deliver. Compiled columns store only this hop, so a router that can
+  /// find it without routing the whole way overrides it.
+  virtual std::optional<Point> firstHop(Point s, Point d) {
+    const RouteResult res = route(s, d);
+    if (!res.delivered || res.path.size() < 2) return std::nullopt;
+    return res.path[1];
+  }
 };
 
 }  // namespace meshrt

@@ -395,6 +395,66 @@ TEST(PlannerTest, CachedReachMatchesMonotoneField) {
   EXPECT_GT(blockedEndpoint, 0u);
 }
 
+TEST(PlannerTest, CachedForwardFieldMatchesMonotoneField) {
+  // The cache's forward sweep stands in for MonotoneField(a, b) in
+  // full-knowledge plans: its reach bits (on the rectangle and the ring
+  // around it), its blocking frontier and both extracted path orders must
+  // be MonotoneField's, over every ordered pair. The wide meshes have rows
+  // of two and three words.
+  std::size_t frontierCells = 0;
+  std::size_t paths = 0;
+  std::uint64_t seed = 43;
+  std::vector<std::pair<Mesh2D, std::size_t>> meshes;  // mesh, fault %
+  for (const Mesh2D& mesh : planCacheMeshes()) meshes.push_back({mesh, 15});
+  meshes.push_back({Mesh2D(70, 4), 15});
+  meshes.push_back({Mesh2D(130, 2), 3});
+  for (const auto& [mesh, percent] : meshes) {
+    Rng rng(seed++);
+    const FaultSet faults = injectUniform(
+        mesh, static_cast<std::size_t>(mesh.nodeCount()) * percent / 100,
+        rng);
+    const FaultAnalysis fa(faults);
+    for (Quadrant quad : {Quadrant::NE, Quadrant::NW, Quadrant::SE,
+                          Quadrant::SW}) {
+      const QuadrantAnalysis& qa = fa.quadrant(quad);
+      const Mesh2D& local = qa.localMesh();
+      const auto pass = [&](Point p) { return qa.mccIndexAt(p) < 0; };
+      PlanCache cache;
+      cache.bind(qa);
+      for (NodeId ai = 0; ai < local.nodeCount(); ++ai) {
+        const Point a = local.point(ai);
+        for (NodeId bi = 0; bi < local.nodeCount(); ++bi) {
+          const Point b = local.point(bi);
+          const MonotoneField field(local, a, b, pass);
+          cache.sweepForward(a, b);
+          const Rect ring = Rect::between(a, b).inflated(1);
+          for (Coord y = ring.y0; y <= ring.y1; ++y) {
+            for (Coord x = ring.x0; x <= ring.x1; ++x) {
+              const Point p{x, y};
+              if (!local.contains(p)) continue;
+              ASSERT_EQ(cache.forwardReached(p), field.reachable(p))
+                  << "a=" << a.str() << " b=" << b.str() << " p=" << p.str();
+            }
+          }
+          const std::vector<Point> frontier = field.blockingFrontier();
+          ASSERT_EQ(cache.blockingFrontier(a, b), frontier)
+              << "a=" << a.str() << " b=" << b.str();
+          frontierCells += frontier.size();
+          for (const PathOrder order :
+               {PathOrder::Balanced, PathOrder::XFirst}) {
+            ASSERT_EQ(cache.monotonePath(a, b, order),
+                      field.extractPath(order))
+                << "a=" << a.str() << " b=" << b.str();
+          }
+          if (field.targetReachable()) ++paths;
+        }
+      }
+    }
+  }
+  EXPECT_GT(frontierCells, 0u);
+  EXPECT_GT(paths, 0u);
+}
+
 TEST(PlannerTest, ReachFieldsStayUnderByteCap) {
   // Every cell of a 100x100 mesh as a target: ~4x the fields the cap
   // holds, so the cache drops them all several times and must answer

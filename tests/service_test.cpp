@@ -17,6 +17,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -273,6 +274,60 @@ TEST(RouteTableTest, Rb2PlanCacheMatchesUncachedPlanner) {
       }
     }
   }
+}
+
+TEST(RouteTableTest, Rb2FirstHopMatchesRouteFirstStep) {
+  // Columns compile through firstHop. rb2 answers it with one plan, which
+  // is exact because the exact fallback makes every later phase succeed;
+  // rb2-literal has no such guarantee and routes in full. The configs are
+  // Rb2PlanCacheMatchesUncachedPlanner's.
+  struct Config {
+    Coord size;
+    int faultPct;
+  };
+  std::size_t delivered = 0;
+  std::size_t noRoute = 0;
+  for (const Config cfg :
+       {Config{12, 30}, Config{16, 5}, Config{20, 25}, Config{24, 10},
+        Config{28, 30}, Config{32, 15}, Config{32, 25}, Config{32, 30}}) {
+    const Mesh2D mesh = Mesh2D::square(cfg.size);
+    Rng rng = Rng::forStream(1507, static_cast<std::uint64_t>(cfg.size) * 100 +
+                                       static_cast<std::uint64_t>(cfg.faultPct));
+    const FaultSet faults = injectUniform(
+        mesh,
+        static_cast<std::size_t>(mesh.nodeCount() * cfg.faultPct / 100), rng);
+    const FaultAnalysis fa(faults);
+    for (const bool exactFallback : {true, false}) {
+      for (const PathOrder order : {PathOrder::Balanced, PathOrder::XFirst}) {
+        SCOPED_TRACE(std::to_string(cfg.size) + "x" +
+                     std::to_string(cfg.size) + " " +
+                     std::to_string(cfg.faultPct) + "% " +
+                     (exactFallback ? "rb2" : "rb2-literal") +
+                     (order == PathOrder::XFirst ? " x-first" : ""));
+        Rb2Router router(fa, order, exactFallback);
+        Rb2Router reference(fa, order, exactFallback);
+        for (int k = 0; k < 2; ++k) {
+          const Point d = randomHealthy(faults, rng);
+          for (NodeId id = 0; id < mesh.nodeCount(); ++id) {
+            const Point s = mesh.point(id);
+            if (s == d || faults.isFaulty(s)) continue;
+            const RouteResult res = reference.route(s, d);
+            const std::optional<Point> hop = router.firstHop(s, d);
+            ASSERT_EQ(hop.has_value(), res.delivered)
+                << s.str() << "->" << d.str();
+            if (res.delivered) {
+              ++delivered;
+              ASSERT_EQ(*hop, res.path[1]) << s.str() << "->" << d.str();
+            } else {
+              ++noRoute;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(delivered, 0u);
+  EXPECT_GT(noRoute, 0u);
 }
 
 TEST(RouteTableTest, BfsOracleTablePreservesExactRouterPaths) {

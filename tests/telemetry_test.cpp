@@ -63,7 +63,9 @@ TEST(TelemetryHistogram, BucketGeometryCoversValuesExactly) {
     EXPECT_LT(v, histogramBucketLow(index) + histogramBucketWidth(index));
     EXPECT_GE(index, lastIndex);
     lastIndex = index;
-    if (v < 32) EXPECT_EQ(histogramBucketWidth(index), 1u);
+    if (v < 32) {
+      EXPECT_EQ(histogramBucketWidth(index), 1u);
+    }
   }
   // Overflow clamps instead of indexing out of range.
   EXPECT_EQ(histogramBucketIndex(~std::uint64_t{0}), kHistogramBuckets - 1);
