@@ -9,7 +9,7 @@ side with a two-sided Fisher exact p for the difference:
         FleetChaos.QuiescentStateMatchesNeverFailedControlBitForBit 100 \\
         base/build/meshrt_slow_tests build/meshrt_slow_tests
 
-A run fails when the binary exits non-zero or outlives --timeout seconds.
+A run fails when the binary exits non-zero or outlives TIMEOUT_S seconds.
 A run that executes no test (a misspelt name) stops the script, so it
 never counts as a pass. Exit code 0 after a complete comparison, 1 on
 bad input. Standard library only.
@@ -19,6 +19,9 @@ import argparse
 import math
 import subprocess
 import sys
+
+# Seconds before a run counts as failed.
+TIMEOUT_S = 600.0
 
 
 def fisher_two_sided(fail_a, runs_a, fail_b, runs_b):
@@ -40,13 +43,13 @@ def fisher_two_sided(fail_a, runs_a, fail_b, runs_b):
     return min(1.0, p)
 
 
-def run_once(binary, test, timeout):
+def run_once(binary, test):
     """True when the test passed. Raises ValueError when no test ran."""
     try:
         done = subprocess.run([binary, "--gtest_filter=" + test],
                               stdout=subprocess.PIPE,
                               stderr=subprocess.STDOUT, text=True,
-                              timeout=timeout)
+                              timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False
     if "[ RUN      ]" not in done.stdout:
@@ -62,8 +65,6 @@ def main(argv):
     parser.add_argument("runs", type=int, help="runs per binary")
     parser.add_argument("binary_a", help="first test binary (the baseline)")
     parser.add_argument("binary_b", help="second test binary")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds before a run counts as failed")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("runs must be at least 1")
@@ -75,7 +76,7 @@ def main(argv):
             # Alternate which side goes first, so neither always runs
             # just after the other.
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-                if not run_once(sides[side], args.test, args.timeout):
+                if not run_once(sides[side], args.test):
                     failures[side] += 1
             print(f"run {i + 1}/{args.runs}: failures {failures[0]} vs "
                   f"{failures[1]}", file=sys.stderr, flush=True)

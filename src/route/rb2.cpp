@@ -13,6 +13,16 @@ std::optional<DetourPlanner::Plan> Rb2Router::phase(const QuadrantAnalysis& qa,
   return plan;
 }
 
+std::optional<Rb2Router::LocalPair> Rb2Router::localPair(Point s,
+                                                        Point d) const {
+  const QuadrantAnalysis& qa = analysis_->forPair(s, d);
+  const LocalPair pair{&qa, qa.frame().toLocal(s), qa.frame().toLocal(d)};
+  if (!qa.labels().isSafe(pair.u) || !qa.labels().isSafe(pair.dL)) {
+    return std::nullopt;
+  }
+  return pair;
+}
+
 RouteResult Rb2Router::route(Point s, Point d) {
   RouteResult result;
   result.path.push_back(s);
@@ -21,12 +31,12 @@ RouteResult Rb2Router::route(Point s, Point d) {
     return result;
   }
 
-  const QuadrantAnalysis& qa = analysis_->forPair(s, d);
+  const auto pair = localPair(s, d);
+  if (!pair) return result;
+  const QuadrantAnalysis& qa = *pair->qa;
   const Frame& frame = qa.frame();
-  const LabelGrid& labels = qa.labels();
-  const Point dL = frame.toLocal(d);
-  Point u = frame.toLocal(s);
-  if (!labels.isSafe(u) || !labels.isSafe(dL)) return result;
+  const Point dL = pair->dL;
+  Point u = pair->u;
 
   const std::size_t maxPhases = qa.mccs().size() * 4 + 8;
   while (u != dL && result.phases < maxPhases) {
@@ -45,14 +55,11 @@ RouteResult Rb2Router::route(Point s, Point d) {
 std::optional<Point> Rb2Router::firstHop(Point s, Point d) {
   if (!exactFallback_) return Router::firstHop(s, d);
   if (s == d) return std::nullopt;
-  const QuadrantAnalysis& qa = analysis_->forPair(s, d);
-  const Frame& frame = qa.frame();
-  const Point dL = frame.toLocal(d);
-  const Point u = frame.toLocal(s);
-  if (!qa.labels().isSafe(u) || !qa.labels().isSafe(dL)) return std::nullopt;
-  const auto plan = phase(qa, u, dL);
+  const auto pair = localPair(s, d);
+  if (!pair) return std::nullopt;
+  const auto plan = phase(*pair->qa, pair->u, pair->dL);
   if (!plan) return std::nullopt;
-  return frame.toWorld(plan->legPath[1]);
+  return pair->qa->frame().toWorld(plan->legPath[1]);
 }
 
 }  // namespace meshrt

@@ -39,6 +39,16 @@ class Rb2Router : public Router {
   std::optional<Point> firstHop(Point s, Point d) override;
 
  private:
+  /// A pair's quadrant analysis with both endpoints in its frame.
+  struct LocalPair {
+    const QuadrantAnalysis* qa;
+    Point u;
+    Point dL;
+  };
+  /// The setup route() and firstHop() share: nullopt when either endpoint
+  /// is unsafe in the pair's frame.
+  std::optional<LocalPair> localPair(Point s, Point d) const;
+
   /// One phase from u toward dL (both local to qa's frame): the plan
   /// whose leg route() walks, or nullopt when no safe detour exists.
   std::optional<DetourPlanner::Plan> phase(const QuadrantAnalysis& qa,
