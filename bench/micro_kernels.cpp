@@ -2,6 +2,7 @@
 // MCC extraction, knowledge construction, planning and BFS.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -508,6 +509,55 @@ void BM_ChaseDivergingUnbounded(benchmark::State& state) {
       state, static_cast<std::size_t>(fx.faults.mesh().nodeCount()));
 }
 BENCHMARK(BM_ChaseDivergingUnbounded);
+
+// --- one serve call on openbench read_static's geometry ------------------
+//
+// RouteService::serve end to end (classify, group, pin, chase, scatter)
+// on a 32x32 mesh with 102 uniform faults, 64 warm rb2 destinations and
+// one pool thread. /1 is the fleet's one-query segment serve, /16 a
+// typical request, /1024 a bulk one; all three fit one chase slice, so
+// they run on the calling thread. Items are queries.
+
+void BM_ServeBatch(benchmark::State& state) {
+  constexpr Coord kSide = 32;
+  const FaultSet faults = makeFaults(kSide, 102, 42);
+  ServiceConfig cfg;
+  cfg.threads = 1;
+  RouteService service(faults, cfg);
+  Rng rng(2007);
+  const auto healthy = [&] {
+    for (;;) {
+      const Point p{static_cast<Coord>(rng.below(kSide)),
+                    static_cast<Coord>(rng.below(kSide))};
+      if (faults.isHealthy(p)) return p;
+    }
+  };
+  std::vector<Point> dests;
+  while (dests.size() < 64) {
+    const Point d = healthy();
+    if (std::find(dests.begin(), dests.end(), d) == dests.end()) {
+      dests.push_back(d);
+    }
+  }
+  std::vector<Query> warm;
+  for (const Point d : dests) warm.push_back({healthy(), d});
+  service.serve(warm);  // compile the 64 columns once
+  // A ring of prebuilt batches, so consecutive calls chase new queries.
+  const auto size = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<Query>> batches(16);
+  for (auto& batch : batches) {
+    for (std::size_t i = 0; i < size; ++i) {
+      batch.push_back({healthy(), dests[rng.below(dests.size())]});
+    }
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.serve(batches[k++ % batches.size()]));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_ServeBatch)->Arg(1)->Arg(16)->Arg(1024);
 
 // --- task-group executor overhead ---------------------------------------
 //

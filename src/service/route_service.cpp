@@ -1,6 +1,7 @@
 #include "service/route_service.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "route/batch_chase.h"
@@ -19,6 +20,71 @@ PoolTelemetry servicePoolTelemetry(const TelemetryConfig& telemetry) {
   pt.waitStall = telemetry.stageHistogram("pool.wait_stall_ns");
   return pt;
 }
+
+/// A chaseable query of a serve call and its destination group.
+struct Lane {
+  std::uint32_t query;
+  std::uint32_t group;
+};
+
+/// serveOn's working arrays: one set per calling thread, reused by every
+/// call, so a batch pays for its queries rather than for allocations and
+/// grouping never allocates or clears anything sized by the mesh. They
+/// keep the capacity of the largest mesh (4 bytes a node) and batch
+/// (about 21 bytes a query) the thread has served. serveOn never
+/// re-enters on one thread — its pool waits run only its own compile and
+/// slice jobs — so one set per thread suffices.
+struct ServeArrays {
+  /// NodeId -> group + 1, or 0 for a destination this call has not seen;
+  /// all zero between calls.
+  std::vector<std::uint32_t> groupSlot;
+  std::vector<NodeId> dests;              ///< group -> destination id
+  std::vector<Lane> lanes;                ///< chaseable queries, batch order
+  std::vector<std::uint32_t> groupStart;  ///< group -> first grouped lane
+  std::vector<std::uint32_t> queryOf;     ///< grouped lane -> batch index
+  std::vector<NodeId> srcIds;             ///< grouped source ids
+  std::vector<ServeStatus> status;        ///< grouped lockstep results
+  std::vector<std::int32_t> hops;
+};
+
+/// One serve call's hold on this thread's ServeArrays. The destructor
+/// zeroes the group slots the call set, on every exit (the deadline
+/// return and an exception out of the compile included).
+class ServeScratch {
+ public:
+  explicit ServeScratch(NodeId nodeCount) : a(threadArrays()) {
+    if (a.groupSlot.size() < static_cast<std::size_t>(nodeCount)) {
+      a.groupSlot.resize(static_cast<std::size_t>(nodeCount), 0);
+    }
+    a.dests.clear();
+    a.lanes.clear();
+  }
+  ServeScratch(const ServeScratch&) = delete;
+  ServeScratch& operator=(const ServeScratch&) = delete;
+  ~ServeScratch() {
+    for (const NodeId d : a.dests) {
+      a.groupSlot[static_cast<std::size_t>(d)] = 0;
+    }
+  }
+
+  /// Group of destination `d`, opening the next one on first sight.
+  std::uint32_t groupOf(NodeId d) {
+    std::uint32_t& slot = a.groupSlot[static_cast<std::size_t>(d)];
+    if (slot == 0) {
+      a.dests.push_back(d);
+      slot = static_cast<std::uint32_t>(a.dests.size());
+    }
+    return slot - 1;
+  }
+
+  ServeArrays& a;
+
+ private:
+  static ServeArrays& threadArrays() {
+    thread_local ServeArrays arrays;
+    return arrays;
+  }
+};
 
 }  // namespace
 
@@ -275,6 +341,7 @@ RouteService::pinOrCompile(const ServiceSnapshot& snap,
       if (!pins[i]) missing.push_back(dests[i]);
     }
     if (missing.empty()) break;
+    std::sort(missing.begin(), missing.end());  // deterministic compile order
     compileColumns(snap, std::move(missing));
     pins = snap.pinColumns(dests);
     // Without a budget nothing evicts between install and pin, so one
@@ -339,292 +406,139 @@ BatchResult RouteService::serveOn(
   out.hops.assign(batch.size(), 0);
   if (wantPaths) out.paths.resize(batch.size());
 
-  // Tiny batches — the fleet stitcher's per-segment serves are 1-query
-  // calls — skip the O(nodeCount) classification scratch and the pool
-  // dispatch below: a handful of linear dedups and inline scalar chases
-  // cost microseconds where zeroing two nodeCount-sized vectors and a
-  // parallelFor round-trip cost hundreds per call. Outcomes are
-  // identical to the lockstep path (scalar-vs-lockstep chase parity is
-  // pinned by the packed-column tests).
-  constexpr std::size_t kInlineBatch = 8;
-  if (batch.size() <= kInlineBatch) {
-    TraceSpan classifySpan(serveClassifyNs_.get());
-    std::vector<NodeId> dests;
-    for (const Query& q : batch) {
-      if (q.s == q.d || faults.isFaulty(q.s) || faults.isFaulty(q.d)) {
-        continue;
-      }
-      const NodeId id = m.id(q.d);
-      if (std::find(dests.begin(), dests.end(), id) == dests.end()) {
-        dests.push_back(id);
-      }
-    }
-    std::sort(dests.begin(), dests.end());
-    classifySpan.stop();
-    if (pastDeadline()) {
-      std::fill(out.status.begin(), out.status.end(), ServeStatus::Deadline);
-      queriesServed_->add(batch.size());
-      return out;
-    }
-    // Owning pins instead of raw pointers: under a column budget a sweep
-    // can null a slot mid-batch, but it can never reclaim a column this
-    // batch holds a handle to.
-    std::vector<std::shared_ptr<const PackedRouteColumn>> resolved;
-    {
-      TraceSpan compileSpan(serveCompileNs_.get());
-      resolved = pinOrCompile(*snap, dests);
-    }
-    TraceSpan chaseSpan(serveChaseNs_.get());
-    const auto bound = static_cast<std::size_t>(m.nodeCount());
-    std::uint64_t divergedInline = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const Query& q = batch[i];
-      if (pastDeadline()) {
-        out.status[i] = ServeStatus::Deadline;
-        continue;
-      }
-      if (faults.isFaulty(q.s) || faults.isFaulty(q.d)) {
-        out.status[i] = ServeStatus::EndpointFaulty;
-        if (wantPaths) out.paths[i].push_back(q.s);
-        continue;
-      }
-      if (q.s == q.d) {
-        out.status[i] = ServeStatus::Delivered;
-        if (wantPaths) out.paths[i].push_back(q.s);
-        continue;
-      }
-      const NodeId id = m.id(q.d);
-      const PackedRouteColumn* column = nullptr;
-      for (std::size_t d = 0; d < dests.size(); ++d) {
-        if (dests[d] == id) {
-          column = resolved[d].get();
-          break;
-        }
-      }
-      // Without paths, mirror the lockstep engine's tight hop bound: a
-      // diverging chase then stops after the proven delivery bound
-      // instead of walking nodeCount steps.
-      const std::size_t steps = wantPaths ? bound : column->hopBound();
-      ServedRoute res = chaseColumn(*column, m, q.s, steps, wantPaths);
-      out.status[i] = res.status;
-      if (res.status == ServeStatus::Delivered) {
-        out.hops[i] = static_cast<std::int32_t>(res.hops);
-      }
-      if (wantPaths) out.paths[i] = std::move(res.path);
-      if (res.status == ServeStatus::Diverged) ++divergedInline;
-    }
-    chaseSpan.stop();
-    queriesServed_->add(batch.size());
-    if (divergedInline != 0) chasesDiverged_->add(divergedInline);
-    resolved.clear();  // release the pins, or the sweep must skip them
-    maybeEnforceBudget(*snap);
-    return out;
-  }
-
-  // The lockstep engines produce status+hops only; when paths are wanted
-  // every query chases through the scalar template with the nodeCount
-  // bound, so a Diverged chase reports its full attempted-path prefix.
-  const bool lockstep = !wantPaths;
-
-  // One classification pass: dedup the destinations that need a column
-  // (healthy endpoints, non-self) and — on the lockstep path — retire
-  // the specials into `out` right away while caching every chaseable
-  // query's (source, dest) ids and the per-destination counts, so no
-  // later pass repeats the fault lookups. countByDest doubles as the
-  // dedup mask.
-  constexpr std::uint32_t kSkipQuery = 0xFFFFFFFFu;
+  // Classify: retire the specials (faulty endpoint, s == d) into `out`
+  // right away and give every chaseable query its destination's group,
+  // so no later pass repeats the fault lookups.
   TraceSpan classifySpan(serveClassifyNs_.get());
-  std::vector<std::uint32_t> countByDest(
-      static_cast<std::size_t>(m.nodeCount()), 0);
-  std::vector<std::uint32_t> destOf;
-  std::vector<NodeId> srcOf;
-  std::size_t chaseable = 0;
-  std::vector<NodeId> dests;
-  if (lockstep) {
-    destOf.resize(batch.size());
-    srcOf.resize(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const Query& q = batch[i];
-      if (faults.isFaulty(q.s) || faults.isFaulty(q.d)) {
-        out.status[i] = ServeStatus::EndpointFaulty;
-        destOf[i] = kSkipQuery;
-        continue;
-      }
-      if (q.s == q.d) {
-        out.status[i] = ServeStatus::Delivered;
-        destOf[i] = kSkipQuery;
-        continue;
-      }
-      const NodeId id = m.id(q.d);
-      if (countByDest[static_cast<std::size_t>(id)]++ == 0) {
-        dests.push_back(id);
-      }
-      destOf[i] = static_cast<std::uint32_t>(id);
-      srcOf[i] = m.id(q.s);
-      ++chaseable;
+  ServeScratch scratch(m.nodeCount());
+  ServeArrays& a = scratch.a;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Query& q = batch[i];
+    if (faults.isFaulty(q.s) || faults.isFaulty(q.d)) {
+      out.status[i] = ServeStatus::EndpointFaulty;
+    } else if (q.s == q.d) {
+      out.status[i] = ServeStatus::Delivered;
+    } else {
+      a.lanes.push_back(
+          {static_cast<std::uint32_t>(i), scratch.groupOf(m.id(q.d))});
+      continue;
     }
-  } else {
-    for (const Query& q : batch) {
-      if (q.s == q.d || faults.isFaulty(q.s) || faults.isFaulty(q.d)) {
-        continue;
-      }
-      const NodeId id = m.id(q.d);
-      if (countByDest[static_cast<std::size_t>(id)]++ == 0) {
-        dests.push_back(id);
-      }
-    }
+    if (wantPaths) out.paths[i].push_back(q.s);
   }
-  // Deterministic compile order (k entries, not batch-many).
-  std::sort(dests.begin(), dests.end());
   classifySpan.stop();
   // Deadline gate ahead of the compile (the serve stage with unbounded
-  // single-step cost). Queries already retired by the lockstep classify
-  // keep their verdicts; everything unchased reports Deadline.
+  // single-step cost). Classified verdicts stand; every chaseable query
+  // reports Deadline.
   if (pastDeadline()) {
-    if (lockstep) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (destOf[i] == kSkipQuery) continue;
-        out.status[i] = ServeStatus::Deadline;
-      }
-    } else {
-      std::fill(out.status.begin(), out.status.end(), ServeStatus::Deadline);
+    for (const Lane& lane : a.lanes) {
+      out.status[lane.query] = ServeStatus::Deadline;
     }
     queriesServed_->add(batch.size());
     return out;
   }
-  // Pin owning handles once; the serve loop then runs lock-free against
-  // raw pointers backed by `pinned` (plus the snapshot handle).
-  // pinOrCompile waits on OUR task group only, and its exceptions are
-  // ours alone — after it returns, every requested column is pinned (an
-  // installed one, or a batch-local fallback compile under a hot
-  // eviction sweep), so a chase can never see a null column.
+  // Pin owning handles once, one per group; the chase then runs
+  // lock-free against the pins (plus the snapshot handle). Under a
+  // column budget a sweep can null a slot mid-batch, but never reclaim
+  // a column this batch holds. pinOrCompile waits on OUR task group
+  // only, and its exceptions are ours alone — after it returns, every
+  // group's column is pinned (an installed one, or a batch-local
+  // fallback compile under a hot eviction sweep), so a chase can never
+  // see a null column.
   std::vector<std::shared_ptr<const PackedRouteColumn>> pinned;
   {
     TraceSpan compileSpan(serveCompileNs_.get());
-    pinned = pinOrCompile(*snap, dests);
-  }
-  std::vector<const PackedRouteColumn*> byDest(
-      static_cast<std::size_t>(m.nodeCount()), nullptr);
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    byDest[static_cast<std::size_t>(dests[i])] = pinned[i].get();
+    pinned = pinOrCompile(*snap, a.dests);
   }
 
-  const auto maxSteps = static_cast<std::size_t>(m.nodeCount());
-  std::atomic<std::uint64_t> diverged{0};
-
-  if (!lockstep) {
-    TraceSpan chaseSpan(serveChaseNs_.get());
-    parallelFor(pool_, batch.size(), [&](std::size_t i) {
-      const Query& q = batch[i];
-      if (pastDeadline()) {
-        out.status[i] = ServeStatus::Deadline;
-        return;
-      }
-      if (faults.isFaulty(q.s) || faults.isFaulty(q.d)) {
-        out.status[i] = ServeStatus::EndpointFaulty;
-        out.paths[i].push_back(q.s);
-        return;
-      }
-      if (q.s == q.d) {
-        out.status[i] = ServeStatus::Delivered;
-        out.paths[i].push_back(q.s);
-        return;
-      }
-      ServedRoute res =
-          chaseColumn(*byDest[static_cast<std::size_t>(m.id(q.d))], m, q.s,
-                      maxSteps, /*wantPath=*/true);
-      out.status[i] = res.status;
-      if (res.status == ServeStatus::Delivered) {
-        out.hops[i] = static_cast<std::int32_t>(res.hops);
-      }
-      out.paths[i] = std::move(res.path);
-      if (res.status == ServeStatus::Diverged) diverged.fetch_add(1);
-    });
-    chaseSpan.stop();
-    queriesServed_->add(batch.size());
-    if (diverged.load() != 0) chasesDiverged_->add(diverged.load());
-    pinned.clear();
-    maybeEnforceBudget(*snap);
-    return out;
-  }
-
-  // Lockstep path: bucket chaseable queries by destination (counting
-  // sort over the dedup'd dest list), so each group chases ONE packed
-  // column — one gather base, L1-resident at serving meshes — in 8-wide
-  // lanes. Specials (faulty endpoints, s == d) already retired in the
-  // classification pass above; the fill pass reuses its cached ids so
-  // the batch sees no second round of fault lookups.
+  // Group: counting sort of the chaseable queries by destination group,
+  // so each group chases ONE packed column — one gather base,
+  // L1-resident at serving meshes. Counts prefix-sum to group ends;
+  // filling back to front keeps each group in batch order and leaves
+  // groupStart holding the starts (groupStart[k] == n).
   TraceSpan chaseSpan(serveChaseNs_.get());
-  std::vector<std::uint32_t> groupStart(
-      static_cast<std::size_t>(m.nodeCount()), 0);
-  {
-    std::uint32_t cursor = 0;
-    for (const NodeId d : dests) {
-      const auto di = static_cast<std::size_t>(d);
-      groupStart[di] = cursor;
-      cursor += countByDest[di];
-      countByDest[di] = 0;  // reused as the per-group fill cursor
-    }
-  }
-  std::vector<std::uint32_t> queryOf(chaseable);   // grouped -> batch index
-  std::vector<NodeId> srcIds(chaseable);           // grouped source ids
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (destOf[i] == kSkipQuery) continue;
-    const auto di = static_cast<std::size_t>(destOf[i]);
-    const std::uint32_t pos = groupStart[di] + countByDest[di]++;
-    queryOf[pos] = static_cast<std::uint32_t>(i);
-    srcIds[pos] = srcOf[i];
+  const std::size_t n = a.lanes.size();
+  a.groupStart.assign(a.dests.size() + 1, 0);
+  for (const Lane& lane : a.lanes) ++a.groupStart[lane.group];
+  std::partial_sum(a.groupStart.begin(), a.groupStart.end(),
+                   a.groupStart.begin());
+  a.queryOf.resize(n);
+  a.srcIds.resize(wantPaths ? 0 : n);
+  for (auto lane = a.lanes.rbegin(); lane != a.lanes.rend(); ++lane) {
+    const std::uint32_t pos = --a.groupStart[lane->group];
+    a.queryOf[pos] = lane->query;
+    if (!wantPaths) a.srcIds[pos] = m.id(batch[lane->query].s);
   }
 
-  // Slice the grouped layout into jobs that never split a destination
-  // mid-chunk beyond kChunk lanes; each job chases, then scatters its
-  // own disjoint result range — deterministic for any thread count.
-  struct ChaseJob {
-    const PackedRouteColumn* column;
-    std::uint32_t begin;
-    std::uint32_t end;
-  };
-  constexpr std::uint32_t kChunk = 4096;
-  std::vector<ChaseJob> jobs;
-  for (const NodeId d : dests) {
-    const auto di = static_cast<std::size_t>(d);
-    const std::uint32_t begin = groupStart[di];
-    const std::uint32_t end = begin + countByDest[di];
-    if (begin == end) continue;
-    const PackedRouteColumn* column = byDest[di];
-    for (std::uint32_t b = begin; b < end; b += kChunk) {
-      jobs.push_back(ChaseJob{column, b, std::min(end, b + kChunk)});
-    }
-  }
-  std::vector<ServeStatus> groupStatus(chaseable);
-  std::vector<std::int32_t> groupHops(chaseable, 0);
-  parallelFor(pool_, jobs.size(), [&](std::size_t j) {
-    const ChaseJob& job = jobs[j];
-    // Deadline at chase-slice granularity: an expired job retires its
-    // whole slice as Deadline without touching the column; the overshoot
-    // past the deadline is bounded by one kChunk slice's chase.
+  // Chase: the grouped layout splits into kChunk-lane slices, the unit
+  // of pool work. Each group piece inside a slice chases its own column
+  // — the lockstep engine at the column's hop bound for status/hops, the
+  // per-query scalar chase at the nodeCount bound for paths (so a
+  // Diverged chase reports its full attempted prefix) — and the slice
+  // then scatters its disjoint result range back to batch order, which
+  // keeps results deterministic for any thread count.
+  a.status.resize(wantPaths ? 0 : n);
+  a.hops.assign(wantPaths ? 0 : n, 0);
+  const auto pathBound = static_cast<std::size_t>(m.nodeCount());
+  std::atomic<std::uint64_t> diverged{0};
+  const auto chaseSlice = [&](std::size_t slice) {
+    const auto begin = static_cast<std::uint32_t>(slice * kChunk);
+    const auto end = static_cast<std::uint32_t>(std::min(n, begin + kChunk));
+    // Deadline at slice granularity: an expired slice retires whole as
+    // Deadline without touching a column, so the overshoot past the
+    // deadline is bounded by one slice's chase.
     if (pastDeadline()) {
-      for (std::uint32_t p = job.begin; p < job.end; ++p) {
-        out.status[queryOf[p]] = ServeStatus::Deadline;
+      for (std::uint32_t p = begin; p < end; ++p) {
+        out.status[a.queryOf[p]] = ServeStatus::Deadline;
       }
       return;
     }
-    chaseBatch(*job.column, srcIds.data() + job.begin, job.end - job.begin,
-               job.column->hopBound(), groupStatus.data() + job.begin,
-               groupHops.data() + job.begin);
     std::uint64_t localDiverged = 0;
-    for (std::uint32_t p = job.begin; p < job.end; ++p) {
-      const std::uint32_t qi = queryOf[p];
-      out.status[qi] = groupStatus[p];
-      out.hops[qi] = groupHops[p];
-      if (groupStatus[p] == ServeStatus::Diverged) ++localDiverged;
+    auto g = static_cast<std::size_t>(
+        std::upper_bound(a.groupStart.begin(), a.groupStart.end(), begin) -
+        a.groupStart.begin() - 1);
+    for (std::uint32_t lo = begin; lo < end; ++g) {
+      const std::uint32_t hi = std::min(end, a.groupStart[g + 1]);
+      const PackedRouteColumn& column = *pinned[g];
+      if (wantPaths) {
+        for (std::uint32_t p = lo; p < hi; ++p) {
+          const std::uint32_t qi = a.queryOf[p];
+          ServedRoute res = chaseColumn(column, m, batch[qi].s, pathBound,
+                                        /*wantPath=*/true);
+          out.status[qi] = res.status;
+          if (res.status == ServeStatus::Delivered) {
+            out.hops[qi] = static_cast<std::int32_t>(res.hops);
+          }
+          out.paths[qi] = std::move(res.path);
+          if (res.status == ServeStatus::Diverged) ++localDiverged;
+        }
+      } else {
+        chaseBatch(column, a.srcIds.data() + lo, hi - lo, column.hopBound(),
+                   a.status.data() + lo, a.hops.data() + lo);
+      }
+      lo = hi;
+    }
+    if (!wantPaths) {
+      for (std::uint32_t p = begin; p < end; ++p) {
+        const std::uint32_t qi = a.queryOf[p];
+        out.status[qi] = a.status[p];
+        out.hops[qi] = a.hops[p];
+        if (a.status[p] == ServeStatus::Diverged) ++localDiverged;
+      }
     }
     if (localDiverged != 0) diverged.fetch_add(localDiverged);
-  });
+  };
+  // A one-slice batch chases on the calling thread: no TaskGroup, no
+  // worker wake-up. Only larger batches fan their slices out.
+  const std::size_t slices = (n + kChunk - 1) / kChunk;
+  if (slices == 1) {
+    chaseSlice(0);
+  } else {
+    parallelFor(pool_, slices, chaseSlice);
+  }
   chaseSpan.stop();
   queriesServed_->add(batch.size());
   if (diverged.load() != 0) chasesDiverged_->add(diverged.load());
-  pinned.clear();
+  pinned.clear();  // release the pins, or the sweep must skip them
   maybeEnforceBudget(*snap);
   return out;
 }

@@ -14,9 +14,12 @@
 //
 // Threading model:
 //   - serve() may be called from any number of reader threads; each batch
-//     is answered entirely against one pinned snapshot, sharded over the
-//     service's pool on a per-batch TaskGroup, and reduced serially —
-//     results are bitwise identical for threads=1 and threads=N.
+//     is answered entirely against one pinned snapshot through one
+//     pipeline (classify, group by destination, pin, chase, scatter). A
+//     batch whose chaseable queries fit one kChunk slice chases on the
+//     calling thread; a larger one fans its slices out over the
+//     service's pool on a per-batch TaskGroup. Results are bitwise
+//     identical for threads=1 and threads=N.
 //   - Overlapping batches and the churn writer share the pool's workers
 //     but wait only on their own groups, so they make independent
 //     progress (no global idle barrier), and a job exception surfaces
@@ -133,6 +136,10 @@ class RouteService {
   /// std::invalid_argument on an unknown router key.
   explicit RouteService(const FaultSet& initial, ServiceConfig cfg = {});
 
+  /// Lanes per chase slice, the unit of pool work in serve(): a batch
+  /// with at most this many chaseable queries runs on the calling thread.
+  static constexpr std::size_t kChunk = 4096;
+
   const Mesh2D& mesh() const { return model_.mesh(); }
   const ServiceConfig& config() const { return cfg_; }
 
@@ -157,19 +164,23 @@ class RouteService {
   std::uint64_t applyRemoveFault(Point p);
 
   /// Serves a batch against one pinned snapshot: missing destination
-  /// columns compile first (sharded), then queries chase tables in
-  /// parallel. With wantPaths=false only status/hops are produced (the
-  /// high-QPS mode). Deterministic per (snapshot, batch) regardless of
-  /// thread count.
+  /// columns compile first (sharded), then the chaseable queries,
+  /// grouped by destination, chase in kChunk-lane slices — on the
+  /// calling thread for a one-slice batch, on the pool otherwise. With
+  /// wantPaths=false only status/hops are produced (the high-QPS mode,
+  /// lockstep chases at each column's hop bound); with wantPaths=true
+  /// every query chases singly at the nodeCount bound. Deterministic per
+  /// (snapshot, batch) regardless of thread count.
   ///
   /// `deadlineNs` (telemetryNowNs() clock, 0 = none) bounds the serve:
   /// once it passes, queries not yet chased come back as
-  /// ServeStatus::Deadline instead of blocking the reader. The check
-  /// runs at chase-slice granularity (kChunk lanes on the lockstep path,
-  /// per parallelFor chunk on the scalar path), so the overshoot past
-  /// the deadline is one slice's chase, not one batch's. A missing
-  /// column compile that was already in flight runs to completion —
-  /// compiles install into the shared snapshot all-or-nothing.
+  /// ServeStatus::Deadline instead of blocking the reader; verdicts the
+  /// classify pass retired (faulty endpoint, s == d) stand. The check
+  /// runs after classification and before each chase slice, so the
+  /// overshoot past the deadline is one slice's chase, not one batch's.
+  /// A missing column compile that was already in flight runs to
+  /// completion — compiles install into the shared snapshot
+  /// all-or-nothing.
   BatchResult serve(const std::vector<Query>& batch, bool wantPaths = false,
                     std::uint64_t deadlineNs = 0);
 

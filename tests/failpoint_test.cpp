@@ -185,9 +185,10 @@ TEST(FailpointTest, ExpiredDeadlineReturnsDeadlineStatuses) {
   // assertion needs every endpoint healthy.
   const Mesh2D mesh = Mesh2D::square(24);
   RouteService service(FaultSet(mesh), {});
-  // Inline path (<= 8 queries) and the batched path both gate on the
-  // same already-expired deadline.
-  for (const std::size_t n : {3u, 64u}) {
+  // Batches that chase on the calling thread and one whose slices fan
+  // out over the pool all gate on the same already-expired deadline.
+  for (const std::size_t n :
+       {std::size_t{3}, std::size_t{64}, 2 * RouteService::kChunk + 17}) {
     SCOPED_TRACE(n);
     std::vector<Query> batch;
     for (std::size_t i = 0; i < n; ++i) {

@@ -14,11 +14,11 @@
 //  - the scalar-lockstep and AVX2 batch engines both reproduce the
 //    scalar chaseColumn byte for byte, including NoRoute and Diverged
 //    lanes and sources equal to the destination;
-//  - RouteService's three serve paths over its packed columns — the
-//    lockstep batch engine (wantPaths=false), the per-query path chase
-//    (wantPaths=true) and the <= 8-query inline chase — agree on every
-//    answer across live churn, deliver only valid paths, and match the
-//    dense-column TableizedRouter reference at epoch 0.
+//  - RouteService's two serve modes over its packed columns — the
+//    lockstep batch engine (wantPaths=false) and the per-query path chase
+//    (wantPaths=true), for whole batches and for one-query serves —
+//    agree on every answer across live churn, deliver only valid paths,
+//    and match the dense-column TableizedRouter reference at epoch 0.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -329,8 +329,8 @@ TEST(ServiceEncodingTest, EncodingsServeBitIdenticallyUnderChurn) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
         SCOPED_TRACE("query " + std::to_string(i));
         const Query& q = batch[i];
-        // One-query serves take the inline path; alternate its two
-        // modes (hop-bounded status/hops vs nodeCount-bounded paths).
+        // One-query serves chase on the calling thread; alternate the
+        // two modes (hop-bounded status/hops vs nodeCount-bounded paths).
         const bool wantPath = i % 2 == 1;
         const BatchResult one = service.serveOn(snap, {q}, wantPath);
         ASSERT_EQ(one.status[0], paths.status[i]);

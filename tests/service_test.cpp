@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -418,15 +419,173 @@ TEST(ServiceTest, BatchedServeBitwiseIdenticalAcrossThreadCounts) {
   const Mesh2D mesh = Mesh2D::square(24);
   Rng rng(21);
   const FaultSet faults = injectUniform(mesh, 80, rng);
-  const auto queries = randomBatch(mesh, 300, 31);
-  std::vector<BatchResult> results;
-  for (std::size_t threads : {1u, 4u}) {
+  // 300 queries chase on the calling thread; the larger batch spans
+  // several slices, so its chases fan out over the pool.
+  for (const std::size_t count : {std::size_t{300},
+                                  2 * RouteService::kChunk + 17}) {
+    SCOPED_TRACE(count);
+    const auto queries = randomBatch(mesh, count, 31);
+    std::vector<BatchResult> results;
+    for (std::size_t threads : {1u, 4u}) {
+      ServiceConfig cfg;
+      cfg.threads = threads;
+      RouteService service(faults, cfg);
+      results.push_back(service.serve(queries, /*wantPaths=*/true));
+    }
+    expectSameBatch(results[0], results[1]);
+  }
+}
+
+/// The first `r.size()` entries of `ref`, bit for bit (paths too when
+/// `r` carries them).
+void expectPrefixOf(const BatchResult& r, const BatchResult& ref) {
+  ASSERT_LE(r.size(), ref.size());
+  EXPECT_EQ(r.epoch, ref.epoch);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    ASSERT_EQ(r.status[i], ref.status[i]) << "query " << i;
+    ASSERT_EQ(r.hops[i], ref.hops[i]) << "query " << i;
+    if (!r.paths.empty()) {
+      ASSERT_EQ(r.paths[i], ref.paths[i]) << "query " << i;
+    }
+  }
+}
+
+/// Serves every query of `queries` as its own one-query batch.
+BatchResult serveEachAlone(RouteService& service,
+                           const std::vector<Query>& queries,
+                           bool wantPaths) {
+  BatchResult out;
+  for (const Query& q : queries) {
+    BatchResult one = service.serve({q}, wantPaths);
+    out.epoch = one.epoch;
+    out.status.push_back(one.status[0]);
+    out.hops.push_back(one.hops[0]);
+    if (wantPaths) out.paths.push_back(std::move(one.paths[0]));
+  }
+  return out;
+}
+
+TEST(ServiceTest, OneServePathMatchesSingleQueryServes) {
+  // serve() has one pipeline for every batch size: a batch whose
+  // chaseable queries fit one RouteService::kChunk slice chases on the
+  // calling thread, a larger one fans its slices out over the pool.
+  // Batches on both sides of the slice boundaries, in both modes and at
+  // 1 and 4 threads, must answer every query exactly as serving it alone
+  // does. Faulty endpoints and s == d ride along; more than half of the
+  // chaseable queries share one hot destination, so in the largest batch
+  // that group spans more than a slice.
+  const Mesh2D mesh = Mesh2D::square(32);
+  Rng rng(97);
+  const FaultSet faults = injectUniform(mesh, 102, rng);
+  std::vector<Point> faulty;
+  for (Coord y = 0; y < mesh.height(); ++y) {
+    for (Coord x = 0; x < mesh.width(); ++x) {
+      if (faults.isFaulty({x, y})) faulty.push_back({x, y});
+    }
+  }
+  const auto randomPoint = [&](Rng& r) {
+    return Point{static_cast<Coord>(r.below(32)),
+                 static_cast<Coord>(r.below(32))};
+  };
+  std::vector<Point> dests;
+  while (dests.size() < 64) {
+    const Point p = randomPoint(rng);
+    if (faults.isHealthy(p) &&
+        std::find(dests.begin(), dests.end(), p) == dests.end()) {
+      dests.push_back(p);
+    }
+  }
+
+  // Batch sizes count chaseable queries (the slice boundary is drawn
+  // over those); each batch is the shortest prefix of `queries` holding
+  // that many, specials included.
+  const std::size_t chunk = RouteService::kChunk;
+  const std::vector<std::size_t> sizes = {1,     2,         8,
+                                          9,     16,        chunk,
+                                          chunk + 1, 2 * chunk + 17};
+  std::vector<Query> queries;
+  std::vector<bool> chaseable;
+  std::vector<std::size_t> prefixEnd;  // prefixEnd[n]: end of n chaseable
+  prefixEnd.push_back(0);
+  while (prefixEnd.size() <= sizes.back()) {
+    const Point s = randomPoint(rng);  // faulty about 10% of the time
+    const std::uint64_t pick = rng.below(20);
+    Point d = s;
+    if (pick == 1) {
+      d = faulty[rng.below(faulty.size())];
+    } else if (pick >= 2) {
+      d = pick < 12 ? dests[0] : dests[rng.below(dests.size())];
+    }
+    queries.push_back({s, d});
+    chaseable.push_back(faults.isHealthy(s) && faults.isHealthy(d) &&
+                        s != d);
+    if (chaseable.back()) prefixEnd.push_back(queries.size());
+  }
+  const auto prefix = [&](std::size_t n) {
+    return std::vector<Query>(
+        queries.begin(),
+        queries.begin() + static_cast<std::ptrdiff_t>(prefixEnd[n]));
+  };
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    MetricsRegistry registry;
     ServiceConfig cfg;
     cfg.threads = threads;
+    cfg.telemetry.registry = &registry;
     RouteService service(faults, cfg);
-    results.push_back(service.serve(queries, /*wantPaths=*/true));
+    const auto poolJobs = [&] {
+      return *registry.snapshot().counter("pool.jobs_executed");
+    };
+    // The references compile every column, so the pool-job counts below
+    // measure chases only.
+    const BatchResult alone[2] = {
+        serveEachAlone(service, prefix(sizes.back()), false),
+        serveEachAlone(service, prefix(sizes.back()), true)};
+    EXPECT_EQ(alone[0].status, alone[1].status);
+    EXPECT_EQ(alone[0].hops, alone[1].hops);
+
+    const auto serveAll = [&] {
+      for (const std::size_t n : sizes) {
+        for (const bool wantPaths : {false, true}) {
+          SCOPED_TRACE("batch " + std::to_string(n) +
+                       (wantPaths ? " with paths" : " status only"));
+          const std::uint64_t jobsBefore = poolJobs();
+          const BatchResult r = service.serve(prefix(n), wantPaths);
+          ASSERT_EQ(r.size(), prefixEnd[n]);
+          expectPrefixOf(r, alone[wantPaths ? 1 : 0]);
+          if (n <= chunk) {
+            EXPECT_EQ(poolJobs(), jobsBefore);  // ran on this thread
+          } else {
+            EXPECT_GT(poolJobs(), jobsBefore);  // slices on the pool
+          }
+        }
+      }
+    };
+    serveAll();
+
+    // An expired deadline retires every chaseable query as Deadline and
+    // keeps the classified verdicts; serves after it on the same thread
+    // answer exactly as before.
+    for (const std::size_t n : {std::size_t{16}, sizes.back()}) {
+      for (const bool wantPaths : {false, true}) {
+        const BatchResult r =
+            service.serve(prefix(n), wantPaths, /*deadlineNs=*/1);
+        const BatchResult& ref = alone[wantPaths ? 1 : 0];
+        for (std::size_t i = 0; i < r.size(); ++i) {
+          if (chaseable[i]) {
+            ASSERT_EQ(r.status[i], ServeStatus::Deadline) << "query " << i;
+          } else {
+            ASSERT_EQ(r.status[i], ref.status[i]) << "query " << i;
+            if (wantPaths) {
+              ASSERT_EQ(r.paths[i], ref.paths[i]) << "query " << i;
+            }
+          }
+        }
+      }
+    }
+    serveAll();
   }
-  expectSameBatch(results[0], results[1]);
 }
 
 TEST(ServiceTest, EventsPatchOnlyChaseAffectedEntriesAndStayValid) {
@@ -687,34 +846,40 @@ TEST(ServiceTest, ConcurrentIdenticalBatchesMatchSerialReference) {
   // result must equal the single-threaded reference bit for bit. This is
   // the overlapping-batches stress for the TaskGroup serve path (runs
   // under TSan in CI).
+  // The 150-query batch chases on each reader's own thread; the larger
+  // one spans several slices, so the readers' chases overlap on the pool.
   const Mesh2D mesh = Mesh2D::square(20);
   Rng rng(81);
   const FaultSet faults = injectUniform(mesh, 48, rng);
-  const auto queries = randomBatch(mesh, 150, 83);
+  for (const std::size_t count : {std::size_t{150},
+                                  2 * RouteService::kChunk + 17}) {
+    SCOPED_TRACE(count);
+    const auto queries = randomBatch(mesh, count, 83);
 
-  BatchResult reference;
-  {
+    BatchResult reference;
+    {
+      ServiceConfig cfg;
+      cfg.threads = 1;
+      RouteService serial(faults, cfg);
+      reference = serial.serve(queries, /*wantPaths=*/true);
+    }
+
     ServiceConfig cfg;
-    cfg.threads = 1;
-    RouteService serial(faults, cfg);
-    reference = serial.serve(queries, /*wantPaths=*/true);
-  }
-
-  ServiceConfig cfg;
-  cfg.threads = 2;
-  RouteService service(faults, cfg);
-  std::vector<BatchResult> results(4);
-  std::vector<std::thread> readers;
-  for (std::size_t t = 0; t < results.size(); ++t) {
-    readers.emplace_back([&, t] {
-      for (int round = 0; round < 3; ++round) {
-        results[t] = service.serve(queries, /*wantPaths=*/true);
-      }
-    });
-  }
-  for (auto& r : readers) r.join();
-  for (const BatchResult& result : results) {
-    expectSameBatch(result, reference);
+    cfg.threads = 2;
+    RouteService service(faults, cfg);
+    std::vector<BatchResult> results(4);
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < results.size(); ++t) {
+      readers.emplace_back([&, t] {
+        for (int round = 0; round < 3; ++round) {
+          results[t] = service.serve(queries, /*wantPaths=*/true);
+        }
+      });
+    }
+    for (auto& r : readers) r.join();
+    for (const BatchResult& result : results) {
+      expectSameBatch(result, reference);
+    }
   }
 }
 
