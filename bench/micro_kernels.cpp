@@ -108,6 +108,33 @@ void BM_Rb2Route(benchmark::State& state) {
 }
 BENCHMARK(BM_Rb2Route)->Arg(500)->Arg(1500)->Arg(2500);
 
+// One rb2 column compile (one firstHop plan per entry) on openbench
+// read_static's layout: a 32x32 mesh with 102 uniform faults and its 64
+// pooled destinations, compiled in turn by one router, as a service
+// worker holds one. Time is per column.
+void BM_CompileRb2Column(benchmark::State& state) {
+  const Mesh2D mesh = Mesh2D::square(32);
+  Rng faultRng = Rng::forStream(2007, 1);
+  const FaultSet faults = injectUniform(mesh, 102, faultRng);
+  Rng destRng = Rng::forStream(2007, 2);
+  std::vector<Point> dests;
+  while (dests.size() < 64) {
+    const Point d = randomHealthy(faults, destRng);
+    if (std::find(dests.begin(), dests.end(), d) == dests.end()) {
+      dests.push_back(d);
+    }
+  }
+  const FaultAnalysis fa(faults);
+  Rb2Router rb2(fa);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        compilePackedRouteColumn(rb2, faults, dests[k++ % dests.size()]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CompileRb2Column);
+
 // --- incremental vs full relabeling under a single-fault delta ----------
 //
 // The dynamic-fault scenarios toggle one fault at a time; the incremental

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mesh/mesh.h"
@@ -21,54 +22,58 @@ namespace meshrt {
 /// turn structure for the wormhole network layer.
 enum class PathOrder : std::uint8_t { Balanced, XFirst };
 
+/// One step of MonotoneField::extractPath's walk from b back to a: the
+/// `reached` predecessor of p (p != a), one move toward b undone. Balanced
+/// undoes the dimension with the larger remaining delta, the "fully
+/// adaptive" selection of Algorithm 2, which keeps both dimensions open and
+/// paths central. XFirst undoes Y while it can, so the forward path runs
+/// X-then-Y (dimension-ordered legs). nullopt when neither predecessor is
+/// reached, which a monotone reach set from a never allows.
+template <typename Reached>
+std::optional<Point> monotonePredecessor(Point a, Point b, Point p,
+                                         PathOrder order, Reached&& reached) {
+  const Coord stepX = b.x > a.x ? 1 : (b.x < a.x ? -1 : 0);
+  const Coord stepY = b.y > a.y ? 1 : (b.y < a.y ? -1 : 0);
+  const Point px{p.x - stepX, p.y};
+  const Point py{p.x, p.y - stepY};
+  const bool canX = stepX != 0 && p.x != a.x && reached(px);
+  const bool canY = stepY != 0 && p.y != a.y && reached(py);
+  bool pickX;
+  if (order == PathOrder::XFirst) {
+    pickX = canX && !canY;
+  } else {
+    const auto dx = static_cast<Distance>(p.x > a.x ? p.x - a.x : a.x - p.x);
+    const auto dy = static_cast<Distance>(p.y > a.y ? p.y - a.y : a.y - p.y);
+    pickX = canX && (!canY || dx >= dy);
+  }
+  if (pickX) return px;
+  if (canY) return py;
+  if (canX) return px;
+  return std::nullopt;
+}
+
 /// MonotoneField::extractPath's walk over any reach set: from b back to a,
-/// each step undoing one move toward b onto a `reached` predecessor. Empty
-/// unless reached(b). `reached` must describe a monotone reach set from a.
+/// each step a monotonePredecessor. Empty unless reached(b). `reached` must
+/// describe a monotone reach set from a.
 template <typename Reached>
 std::vector<Point> extractMonotonePath(Point a, Point b, PathOrder order,
                                        Reached&& reached) {
   std::vector<Point> path;
   if (!reached(b)) return path;
-  const Coord stepX = b.x > a.x ? 1 : (b.x < a.x ? -1 : 0);
-  const Coord stepY = b.y > a.y ? 1 : (b.y < a.y ? -1 : 0);
-  Point p = b;
-  path.push_back(p);
-  while (p != a) {
-    // Walk backward from b choosing a reachable predecessor. Balanced:
-    // undo the dimension with the larger remaining delta — the "fully
-    // adaptive" selection of Algorithm 2, which keeps both dimensions open
-    // and paths central. XFirst: undo Y first (so the forward path runs
-    // X-then-Y), yielding dimension-ordered legs.
-    const Point px{p.x - stepX, p.y};
-    const Point py{p.x, p.y - stepY};
-    const bool canX = stepX != 0 && p.x != a.x && reached(px);
-    const bool canY = stepY != 0 && p.y != a.y && reached(py);
-    bool pickX;
-    if (order == PathOrder::XFirst) {
-      pickX = canX && !canY;  // undo Y while possible
-    } else {
-      const auto dx =
-          static_cast<Distance>(p.x > a.x ? p.x - a.x : a.x - p.x);
-      const auto dy =
-          static_cast<Distance>(p.y > a.y ? p.y - a.y : a.y - p.y);
-      pickX = canX && (!canY || dx >= dy);
-    }
-    if (pickX) {
-      p = px;
-    } else if (canY) {
-      p = py;
-    } else if (canX) {
-      p = px;
-    } else {
+  for (Point p = b;;) {
+    path.push_back(p);
+    if (p == a) break;
+    const std::optional<Point> prev =
+        monotonePredecessor(a, b, p, order, reached);
+    if (!prev) {
       assert(false && "extractMonotonePath: no reached predecessor");
       return {};
     }
-    path.push_back(p);
+    p = *prev;
   }
   std::reverse(path.begin(), path.end());
   return path;
 }
-
 
 class MonotoneField {
  public:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 #include "route/bfs.h"
 
@@ -49,7 +50,58 @@ std::uint64_t spreadWest(const std::uint64_t* m, std::uint64_t* row,
   return any;
 }
 
+// A corner slot is empty either at the mesh border (no way around on that
+// side) or because the corner cell belongs to a *diagonally adjacent* MCC.
+// Diagonal MCCs block as one composite unit (they satisfy the
+// consecutive-MCC conditions of Eq. 1), so the usable rounding extreme is
+// the neighbor's corresponding corner — resolve through the chain. `id`
+// must be a live MCC.
+std::optional<Point> resolveCorner(const QuadrantAnalysis& qa, int id,
+                                   CornerKind kind) {
+  std::vector<int> visited;
+  for (;;) {
+    const Mcc& m = qa.mccs()[static_cast<std::size_t>(id)];
+    const Staircase& s = m.shape;
+    std::optional<Point> corner;
+    Point pos;
+    switch (kind) {
+      case CornerKind::C:
+        corner = m.cornerC;
+        pos = s.initializationCorner();
+        break;
+      case CornerKind::CPrime:
+        corner = m.cornerCPrime;
+        pos = s.oppositeCorner();
+        break;
+      case CornerKind::NW:
+        corner = m.cornerNW;
+        pos = {s.xmin() - 1, s.span(s.xmin()).hi + 1};
+        break;
+      case CornerKind::SE:
+        corner = m.cornerSE;
+        pos = {s.xmax() + 1, s.span(s.xmax()).lo - 1};
+        break;
+    }
+    if (corner) return corner;
+    if (!qa.localMesh().contains(pos)) return std::nullopt;
+    const int next = qa.mccIndexAt(pos);
+    if (next < 0) return std::nullopt;
+    if (std::find(visited.begin(), visited.end(), next) != visited.end()) {
+      return std::nullopt;
+    }
+    visited.push_back(id);
+    id = next;
+  }
+}
+
 }  // namespace
+
+void PlanScratch::beginPlan() {
+  if (++plan == 0) {  // the stamps wrapped: clear them once
+    for (Memo& m : memo) m.plan = 0;
+    plan = 1;
+  }
+}
 
 void PlanCache::bind(const QuadrantAnalysis& qa) {
   if (qa_ == &qa && version_ == qa.version()) return;
@@ -64,10 +116,12 @@ void PlanCache::bind(const QuadrantAnalysis& qa) {
       if (qa.mccIndexAt({x, y}) < 0) mask_[word({x, y})] |= bit(x);
     }
   }
+  corners_.assign(qa.mccs().size() * 4, kUnresolved);
   fields_.clear();
+  lastField_ = nullptr;
   fwd_.assign(mask_.size(), 0);
   fwdRect_ = Rect{};
-  dist_.reset();
+  dist_.clear();
 }
 
 void PlanCache::sweepReach(Point b, std::uint64_t* bits) const {
@@ -97,28 +151,60 @@ void PlanCache::sweepReach(Point b, std::uint64_t* bits) const {
   }
 }
 
-bool PlanCache::reaches(Point a, Point b) {
-  auto it = fields_.find(b);
-  if (it == fields_.end()) {
-    const std::size_t words = rowWords_ * static_cast<std::size_t>(height_);
-    if ((fields_.size() + 1) * words * sizeof(std::uint64_t) >
-        kMaxFieldBytes) {
-      fields_.clear();
-    }
-    it = fields_.emplace(b, std::vector<std::uint64_t>(words)).first;
-    sweepReach(b, it->second.data());
+void PlanCache::resolveCorners(int id) {
+  // Resolved on demand: a patch's few plans meet few of the MCCs, and a
+  // retired slot, whose staircase is empty, is never asked about.
+  for (const CornerKind kind : kCornerKinds) {
+    corners_[static_cast<std::size_t>(id) * 4 +
+             static_cast<std::size_t>(kind)] =
+        resolveCorner(*qa_, id, kind).value_or(kNoCorner);
   }
-  return (it->second[word(a)] & bit(a.x)) != 0;
+}
+
+bool PlanCache::reaches(Point a, Point b) {
+  // Most calls in a column compile ask about its own destination.
+  if (lastField_ == nullptr || b != lastTarget_) {
+    auto it = fields_.find(b);
+    if (it == fields_.end()) {
+      const std::size_t words = rowWords_ * static_cast<std::size_t>(height_);
+      if ((fields_.size() + 1) * words * sizeof(std::uint64_t) >
+          kMaxFieldBytes) {
+        fields_.clear();
+      }
+      it = fields_.emplace(b, std::vector<std::uint64_t>(words)).first;
+      sweepReach(b, it->second.data());
+    }
+    lastTarget_ = b;
+    lastField_ = it->second.data();
+  }
+  return (lastField_[word(a)] & bit(a.x)) != 0;
 }
 
 Distance PlanCache::distance(Point u, Point d) {
   if (!passable(d)) return kUnreachable;
-  if (!dist_ || distRoot_ != d) {
+  const Mesh2D& mesh = qa_->localMesh();
+  if (dist_.empty() || distRoot_ != d) {
+    // Breadth-first from d over the mask; the queue is a flat array.
     distRoot_ = d;
-    dist_ = bfsDistances(qa_->localMesh(), d,
-                         [&](Point p) { return passable(p); });
+    dist_.assign(static_cast<std::size_t>(mesh.nodeCount()), kUnreachable);
+    queue_.resize(dist_.size());
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    dist_[static_cast<std::size_t>(mesh.id(d))] = 0;
+    queue_[tail++] = d;
+    while (head < tail) {
+      const Point p = queue_[head++];
+      const Distance next = dist_[static_cast<std::size_t>(mesh.id(p))] + 1;
+      mesh.forEachNeighbor(p, [&](Point q) {
+        Distance& dq = dist_[static_cast<std::size_t>(mesh.id(q))];
+        if (dq == kUnreachable && passable(q)) {
+          dq = next;
+          queue_[tail++] = q;
+        }
+      });
+    }
   }
-  return (*dist_)[u];
+  return dist_[static_cast<std::size_t>(mesh.id(u))];
 }
 
 std::uint64_t PlanCache::fwdColumns(std::size_t w) const {
@@ -162,10 +248,10 @@ void PlanCache::sweepForward(Point a, Point b) {
   }
 }
 
-std::vector<Point> PlanCache::blockingFrontier(Point a, Point b) {
+void PlanCache::blockingFrontier(Point a, Point b, std::vector<Point>& out) {
   sweepForward(a, b);
-  std::vector<Point> frontier;
-  if (forwardReached(b)) return frontier;
+  out.clear();
+  if (forwardReached(b)) return;
   // Blocked cells of the rectangle one step toward b from a reached cell:
   // from the reached cells of the same row shifted one column toward b,
   // or of the row one step nearer a.
@@ -187,11 +273,10 @@ std::vector<Point> PlanCache::blockingFrontier(Point a, Point b) {
       for (std::uint64_t f = from & ~m[w] & fwdColumns(w); f != 0;
            f &= f - 1) {
         const auto x = static_cast<Coord>(w * 64) + std::countr_zero(f);
-        frontier.push_back({x, y});
+        out.push_back({x, y});
       }
     }
   }
-  return frontier;
 }
 
 std::vector<Point> PlanCache::monotonePath(Point a, Point b,
@@ -201,32 +286,50 @@ std::vector<Point> PlanCache::monotonePath(Point a, Point b,
                              [this](Point p) { return forwardReached(p); });
 }
 
+Point PlanCache::firstStep(Point a, Point b, PathOrder order) {
+  const Point stepX{a.x + (b.x > a.x ? 1 : -1), a.y};
+  const Point stepY{a.x, a.y + (b.y > a.y ? 1 : -1)};
+  const bool viaX = b.x != a.x && reaches(stepX, b);
+  const bool viaY = b.y != a.y && reaches(stepY, b);
+  if (viaX != viaY) return viaX ? stepX : stepY;
+  sweepForward(a, b);
+  const auto reached = [this](Point p) { return forwardReached(p); };
+  for (Point p = b;;) {
+    const std::optional<Point> prev =
+        monotonePredecessor(a, b, p, order, reached);
+    assert(prev && "PlanCache::firstStep: b is not reached from a");
+    if (!prev || *prev == a) return p;
+    p = *prev;
+  }
+}
+
 DetourPlanner::DetourPlanner(const QuadrantAnalysis& qa, bool exactFallback,
-                             PlanCache* cache)
-    : qa_(&qa), exactFallback_(exactFallback), cache_(cache) {
+                             PlanCache* cache, PlanScratch* scratch)
+    : qa_(&qa),
+      exactFallback_(exactFallback),
+      cache_(cache),
+      lentScratch_(scratch) {
   if (cache_ != nullptr) cache_->bind(qa);
 }
 
 std::optional<DetourPlanner::Plan> DetourPlanner::plan(
-    Point u, Point d, const std::vector<int>* known, PathOrder order) {
+    Point u, Point d, const std::vector<int>* known, PathOrder order,
+    std::vector<Point>* leg) {
   PlanCache* cache = known == nullptr ? cache_ : nullptr;
-  Ctx ctx{d, known, cache, {}, {}, kEvalBudget};
+  PlanScratch& scratch =
+      lentScratch_ != nullptr ? *lentScratch_ : ownScratch_;
+  scratch.beginPlan();
+  Ctx ctx{d, known, cache, &scratch, kEvalBudget};
   evaluations_ = 0;
   Point target = d;
   const Distance dist = eval(ctx, u, &target);
 
+  Plan plan;
+  plan.dist = dist;
+  plan.target = target;
   // A direct plan meets the Manhattan lower bound: provably optimal, no
   // verification needed (the common case — keeps planning cheap).
-  if (dist == manhattan(u, d)) {
-    Plan plan;
-    plan.dist = dist;
-    plan.target = d;
-    plan.direct = true;
-    plan.legPath = legPath(u, d, known, order);
-    return plan;
-  }
-
-  if (exactFallback_) {
+  if (dist != manhattan(u, d) && exactFallback_) {
     // Theorem 1 rests on Eq. 3's premise that the Manhattan legs to the
     // blocking sequence's corners are clear; dense fields can violate it.
     // The information model provides everything needed to evaluate the
@@ -244,23 +347,29 @@ std::optional<DetourPlanner::Plan> DetourPlanner::plan(
     if (exact == kUnreachable) return std::nullopt;
     if (dist == kUnreachable || dist > exact) {
       ++fallbacksTaken_;
-      Plan fallback;
-      fallback.dist = exact;
-      fallback.target = d;
-      fallback.direct = false;
-      fallback.viaExactFallback = true;
-      fallback.legPath =
+      std::vector<Point> path =
           extractBfsPath(qa_->localMesh(), sourceField(), u, d);
-      return fallback;
+      plan.dist = exact;
+      plan.target = d;
+      plan.viaExactFallback = true;
+      plan.firstStep = path[1];  // u != d: u..u is a direct plan
+      if (leg != nullptr) *leg = std::move(path);
+      return plan;
     }
   }
   if (dist == kUnreachable) return std::nullopt;
 
-  Plan plan;
-  plan.dist = dist;
-  plan.target = target;
   plan.direct = (target == d);
-  plan.legPath = legPath(u, target, known, order);
+  if (leg != nullptr) {
+    *leg = legPath(u, target, known, order);
+    plan.firstStep = leg->size() > 1 ? (*leg)[1] : u;
+  } else if (u == target) {
+    plan.firstStep = u;
+  } else if (cache != nullptr) {
+    plan.firstStep = cache->firstStep(u, target, order);
+  } else {
+    plan.firstStep = legPath(u, target, known, order)[1];
+  }
   return plan;
 }
 
@@ -285,6 +394,7 @@ Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
   ++evaluations_;
   const Mesh2D& mesh = qa_->localMesh();
   const auto pass = [&](Point p) { return passable(p, ctx.known); };
+  PlanScratch& scratch = *ctx.scratch;
 
   // Base case of Eq. 2: a Manhattan distance path exists. Without a
   // cache, one forward field answers it and the frontier below.
@@ -299,16 +409,20 @@ Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
 
   // The closest blocking sequence: MCCs owning the frontier cells that cut
   // a from d, ordered along the cut (Eq. 1's F_1 .. F_n).
-  std::vector<int> chainIds;
-  for (Point cell : field ? field->blockingFrontier()
-                          : ctx.cache->blockingFrontier(a, ctx.d)) {
-    const int id = qa_->mccIndexAt(cell);
-    if (id >= 0) chainIds.push_back(id);
+  if (field) {
+    scratch.frontier = field->blockingFrontier();
+  } else {
+    ctx.cache->blockingFrontier(a, ctx.d, scratch.frontier);
   }
-  std::sort(chainIds.begin(), chainIds.end());
-  chainIds.erase(std::unique(chainIds.begin(), chainIds.end()),
-                 chainIds.end());
-  if (chainIds.empty()) return kUnreachable;
+  std::vector<int>& chain = scratch.chain;
+  chain.clear();
+  for (const Point cell : scratch.frontier) {
+    const int id = qa_->mccIndexAt(cell);
+    if (id >= 0) chain.push_back(id);
+  }
+  std::sort(chain.begin(), chain.end());
+  chain.erase(std::unique(chain.begin(), chain.end()), chain.end());
+  if (chain.empty()) return kUnreachable;
 
   // Detour candidates (Eq. 3 generalized): the rounding extremes of every
   // chain member. The paper's P_0/P_n use c_1 and c'_n; the two-corner hops
@@ -317,76 +431,32 @@ Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
   // NW/SE extremes cover legs whose movement signature the paper's in-band
   // chains never produce but multi-phase corner-to-corner legs do (e.g.
   // approaching d from the east after rounding the chain's east end).
-  std::vector<Point> candidates;
-  auto addCandidate = [&](const std::optional<Point>& corner) {
-    if (!corner || *corner == a) return;
-    if (std::find(candidates.begin(), candidates.end(), *corner) !=
-        candidates.end()) {
-      return;
-    }
-    candidates.push_back(*corner);
-  };
-
-  // A corner slot is empty either at the mesh border (no way around on that
-  // side) or because the corner cell belongs to a *diagonally adjacent*
-  // MCC. Diagonal MCCs block as one composite unit (they satisfy the
-  // consecutive-MCC conditions of Eq. 1), so the usable rounding extreme is
-  // the neighbor's corresponding corner — resolve through the chain.
-  const auto& mccs = qa_->mccs();
-  enum class CornerKind { C, CPrime, NW, SE };
-  auto cornerOf = [](const Mcc& m, CornerKind k) {
-    switch (k) {
-      case CornerKind::C:
-        return m.cornerC;
-      case CornerKind::CPrime:
-        return m.cornerCPrime;
-      case CornerKind::NW:
-        return m.cornerNW;
-      case CornerKind::SE:
-        return m.cornerSE;
-    }
-    return m.cornerC;
-  };
-  auto cornerPos = [](const Mcc& m, CornerKind k) {
-    const Staircase& s = m.shape;
-    switch (k) {
-      case CornerKind::C:
-        return s.initializationCorner();
-      case CornerKind::CPrime:
-        return s.oppositeCorner();
-      case CornerKind::NW:
-        return Point{s.xmin() - 1, s.span(s.xmin()).hi + 1};
-      case CornerKind::SE:
-        return Point{s.xmax() + 1, s.span(s.xmax()).lo - 1};
-    }
-    return s.initializationCorner();
-  };
-  auto resolveCorner = [&](int id, CornerKind kind) -> std::optional<Point> {
-    std::vector<int> visited;
-    for (;;) {
-      const Mcc& m = mccs[static_cast<std::size_t>(id)];
-      if (auto corner = cornerOf(m, kind)) return corner;
-      const Point pos = cornerPos(m, kind);
-      if (!qa_->localMesh().contains(pos)) return std::nullopt;
-      const int next = qa_->mccIndexAt(pos);
-      if (next < 0) return std::nullopt;
-      if (std::find(visited.begin(), visited.end(), next) != visited.end()) {
-        return std::nullopt;
+  // This evaluation's candidates go on top of the stack, above its
+  // callers'; the recursion below pushes and pops its own above them and
+  // may reallocate the stack, so they are read by index, never through a
+  // reference into it.
+  std::vector<Point>& candidates = scratch.candidates;
+  const std::size_t first = candidates.size();
+  for (const int id : chain) {
+    for (const CornerKind kind : kCornerKinds) {
+      const std::optional<Point> corner =
+          cache_ != nullptr ? cache_->corner(id, kind)
+                            : resolveCorner(*qa_, id, kind);
+      if (!corner || *corner == a ||
+          std::find(candidates.begin() + static_cast<std::ptrdiff_t>(first),
+                    candidates.end(), *corner) != candidates.end()) {
+        continue;
       }
-      visited.push_back(id);
-      id = next;
+      candidates.push_back(*corner);
     }
-  };
-
-  for (int id : chainIds) {
-    addCandidate(resolveCorner(id, CornerKind::C));
-    addCandidate(resolveCorner(id, CornerKind::CPrime));
-    addCandidate(resolveCorner(id, CornerKind::NW));
-    addCandidate(resolveCorner(id, CornerKind::SE));
   }
+  const std::size_t last = candidates.size();
+  const auto nodes = static_cast<std::size_t>(mesh.nodeCount());
+  if (scratch.memo.size() < nodes) scratch.memo.resize(nodes);
 
   Distance best = kUnreachable;
-  for (Point q : candidates) {
+  for (std::size_t i = first; i < last; ++i) {
+    const Point q = candidates[i];
     // The Manhattan leg a -> q must itself be clear (the paper's chains
     // guarantee this for their candidates; we verify instead of assume).
     const bool legClear =
@@ -395,16 +465,15 @@ Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
             : MonotoneField(mesh, a, q, pass).targetReachable();
     if (!legClear) continue;
 
+    const auto slot = static_cast<std::size_t>(mesh.id(q));
     Distance rest;
-    if (auto it = ctx.memo.find(q); it != ctx.memo.end()) {
-      rest = it->second;
-    } else if (ctx.inProgress[q]) {
-      continue;  // cycle in the corner recursion
+    if (scratch.memo[slot].plan == scratch.plan) {
+      rest = scratch.memo[slot].dist;
+      if (rest == PlanScratch::kInProgress) continue;  // corner cycle
     } else {
-      ctx.inProgress[q] = true;
+      scratch.memo[slot] = {scratch.plan, PlanScratch::kInProgress};
       rest = eval(ctx, q, nullptr);
-      ctx.inProgress[q] = false;
-      ctx.memo.emplace(q, rest);
+      scratch.memo[slot].dist = rest;
     }
     if (rest == kUnreachable) continue;
 
@@ -414,6 +483,7 @@ Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
       if (chosenTarget) *chosenTarget = q;
     }
   }
+  scratch.candidates.resize(first);
   return best;
 }
 

@@ -14,9 +14,12 @@
 // (model B3) and replans when the message bumps into an unknown MCC.
 //
 // Full-knowledge plans can share a PlanCache: every monotone-reachability
-// and exact-distance answer they ask for depends only on the quadrant's
-// MCC mask and the target cell, so one router's plans (a whole compiled
-// column, say) compute each answer once instead of once per plan.
+// and exact-distance answer they ask for, and every resolved MCC corner,
+// depends only on the quadrant's analysis and the target cell, so one
+// router's plans (a whole compiled column, say) compute each answer once
+// instead of once per plan. A plan that only needs its first step (a
+// column entry) builds no leg, and a plan allocates nothing once the
+// storage it reuses has grown.
 #pragma once
 
 #include <algorithm>
@@ -30,11 +33,41 @@
 
 namespace meshrt {
 
+/// The four rounding extremes of an MCC that Eq. 3 detours through: c,
+/// c', and the NW/SE extremes (see Mcc).
+enum class CornerKind : std::uint8_t { C, CPrime, NW, SE };
+inline constexpr CornerKind kCornerKinds[] = {
+    CornerKind::C, CornerKind::CPrime, CornerKind::NW, CornerKind::SE};
+
+/// Storage DetourPlanner's Eq. 2 recursion reuses from plan to plan, so a
+/// plan allocates nothing once it has grown. The memo is indexed by local
+/// node, sized by the first plan that recurses and stamped with its plan,
+/// so a new plan clears nothing. `candidates` is a stack: each
+/// evaluation's detour candidates sit above its callers', which stay live
+/// across the recursion.
+struct PlanScratch {
+  struct Memo {
+    std::uint32_t plan = 0;
+    Distance dist = 0;  // kInProgress while that evaluation runs
+  };
+  static constexpr Distance kInProgress = -2;
+
+  /// Starts a plan: every memo slot reads as unvisited.
+  void beginPlan();
+
+  std::vector<Memo> memo;
+  std::uint32_t plan = 0;
+  std::vector<Point> frontier;
+  std::vector<int> chain;
+  std::vector<Point> candidates;
+};
+
 /// Exact full-knowledge answers for one quadrant analysis (DESIGN.md
-/// section 3, item 4): the MCC mask, one monotone-reach bitset per
-/// target, one forward bitset for the latest rectangle swept from its
-/// source and the safe-node BFS distance field of the latest destination.
-/// Each answer equals what the uncached planner computes per call.
+/// section 3, item 4): the MCC mask, each MCC's resolved detour corners,
+/// one monotone-reach bitset per target, one forward bitset for the latest
+/// rectangle swept from its source and the safe-node BFS distance field of
+/// the latest destination. Each answer equals what the uncached planner
+/// computes per call.
 class PlanCache {
  public:
   /// Reach fields are dropped all at once when one more would take them
@@ -42,9 +75,10 @@ class PlanCache {
   /// whatever it routes.
   static constexpr std::size_t kMaxFieldBytes = std::size_t{4} << 20;
 
-  /// Binds to `qa`, dropping every cached answer, unless already bound to
-  /// this analysis at its current labeler version. The key is the address
-  /// and version, so `qa` must outlive the binding.
+  /// Binds to `qa`, dropping every cached answer (resolved corners
+  /// included) and rebuilding the mask, unless already bound to this
+  /// analysis at its current labeler version. The key is the address and
+  /// version, so `qa` must outlive the binding.
   void bind(const QuadrantAnalysis& qa);
 
   /// The cell belongs to no MCC (full-knowledge passability).
@@ -71,11 +105,30 @@ class PlanCache {
     return fwdRect_.contains(p) && (fwd_[word(p)] & bit(p.x)) != 0;
   }
 
-  /// MonotoneField(mesh, a, b, passable).blockingFrontier(), same order.
-  std::vector<Point> blockingFrontier(Point a, Point b);
+  /// MonotoneField(mesh, a, b, passable).blockingFrontier(), same order,
+  /// into `out`.
+  void blockingFrontier(Point a, Point b, std::vector<Point>& out);
 
   /// MonotoneField(mesh, a, b, passable).extractPath(order).
   std::vector<Point> monotonePath(Point a, Point b, PathOrder order);
+
+  /// monotonePath(a, b, order)[1] without building the path; a != b and
+  /// reaches(a, b). Every cell of the path reaches b, so when only one of
+  /// a's two steps toward b reaches b, that step is the answer; otherwise
+  /// the path's backward walk runs, keeping only its last cell before a.
+  Point firstStep(Point a, Point b, PathOrder order);
+
+  /// The usable `kind` corner of MCC `id` (a live id of the bound
+  /// analysis): its own corner, or the one a diagonally adjacent MCC's
+  /// chain resolves to; nullopt when there is none. An MCC's four corners
+  /// are resolved on its first query after a bind.
+  std::optional<Point> corner(int id, CornerKind kind) {
+    const std::size_t slot = static_cast<std::size_t>(id) * 4;
+    if (corners_[slot] == kUnresolved) resolveCorners(id);
+    const Point c = corners_[slot + static_cast<std::size_t>(kind)];
+    if (c == kNoCorner) return std::nullopt;
+    return c;
+  }
 
   /// Bytes held by reach fields; at most the larger of one field and
   /// kMaxFieldBytes.
@@ -85,6 +138,11 @@ class PlanCache {
   }
 
  private:
+  /// corners_ marks a missing corner, and the corners of an MCC not yet
+  /// resolved, with cells outside every mesh.
+  static constexpr Point kNoCorner{-1, -1};
+  static constexpr Point kUnresolved{-2, -2};
+
   // Bitsets (the mask and every reach field) give each row rowWords_
   // 64-bit words; cell (x, y) is bit x % 64 of word(p).
   std::size_t word(Point p) const {
@@ -99,17 +157,23 @@ class PlanCache {
   void sweepReach(Point b, std::uint64_t* bits) const;
   /// Bits of the latest forward rectangle's columns in word w of a row.
   std::uint64_t fwdColumns(std::size_t w) const;
+  /// Fills MCC id's four corners_ entries.
+  void resolveCorners(int id);
 
   const QuadrantAnalysis* qa_ = nullptr;
   std::uint64_t version_ = 0;
   Coord height_ = 0;
   std::size_t rowWords_ = 0;
   std::vector<std::uint64_t> mask_;  // passable cells
+  std::vector<Point> corners_;       // 4 per MCC slot, by CornerKind
   std::unordered_map<Point, std::vector<std::uint64_t>, PointHash> fields_;
+  Point lastTarget_;                           // reaches()' latest target
+  const std::uint64_t* lastField_ = nullptr;   // and its field
   std::vector<std::uint64_t> fwd_;  // sweepForward's bitset
   Rect fwdRect_;                     // and its rectangle
   Point distRoot_;
-  std::optional<NodeMap<Distance>> dist_;  // BFS field rooted at distRoot_
+  std::vector<Distance> dist_;  // BFS field rooted at distRoot_, by node
+  std::vector<Point> queue_;    // the BFS's queue
 };
 
 class DetourPlanner {
@@ -118,12 +182,14 @@ class DetourPlanner {
   /// field the knowledge supports, and fall back to it when the recursion's
   /// clear-Manhattan-leg assumption fails (dense fault fields). The
   /// paper-literal mode (false) is kept for the ablation bench.
-  /// `cache` (bound to `qa` here) answers full-knowledge plans; plans with
-  /// a `known` list, and every plan when it is null, compute each answer.
-  /// It must outlive the planner.
+  /// `cache` (bound to `qa` here) answers full-knowledge plans; plans
+  /// with a `known` list, and every plan when it is null, compute each
+  /// answer. `scratch` is the storage plans reuse; without it the planner
+  /// uses its own. Both must outlive the planner.
   explicit DetourPlanner(const QuadrantAnalysis& qa,
                          bool exactFallback = true,
-                         PlanCache* cache = nullptr);
+                         PlanCache* cache = nullptr,
+                         PlanScratch* scratch = nullptr);
 
   struct Plan {
     /// Planned distance from u to d under the planner's knowledge.
@@ -134,17 +200,21 @@ class DetourPlanner {
     bool direct = false;
     /// True when the Eq. 2-3 machinery was bypassed by the exact field.
     bool viaExactFallback = false;
-    /// The leg u..target inclusive (Manhattan leg, or the exact-field path
-    /// in fallback plans).
-    std::vector<Point> legPath;
+    /// The leg's second cell: the step u takes toward target (u itself
+    /// when u == d).
+    Point firstStep;
   };
 
   /// Plans from u to d (both in the quadrant's local frame, both safe).
   /// `known` lists the MCC ids the decision may treat as obstacles;
   /// nullptr means full knowledge. Returns nullopt when no candidate
-  /// detour reaches d under this knowledge. `order` shapes the leg path.
+  /// detour reaches d under this knowledge. `order` shapes the leg. When
+  /// `leg` is given, it receives the leg u..target inclusive (the
+  /// Manhattan leg, or the exact-field path in fallback plans); without
+  /// it, only the leg's first step is worked out.
   std::optional<Plan> plan(Point u, Point d, const std::vector<int>* known,
-                           PathOrder order = PathOrder::Balanced);
+                           PathOrder order = PathOrder::Balanced,
+                           std::vector<Point>* leg = nullptr);
 
   /// The distance function D(u, d) of Eq. 2 (kUnreachable when no safe
   /// detour is found). Exposed for tests and the ablation benches.
@@ -159,8 +229,7 @@ class DetourPlanner {
     Point d;
     const std::vector<int>* known;  // sorted ids, or nullptr for full
     PlanCache* cache;               // non-null only for full knowledge
-    std::unordered_map<Point, Distance, PointHash> memo;
-    std::unordered_map<Point, bool, PointHash> inProgress;
+    PlanScratch* scratch;
     std::size_t budget = 0;
   };
 
@@ -180,6 +249,8 @@ class DetourPlanner {
   const QuadrantAnalysis* qa_;
   bool exactFallback_;
   PlanCache* cache_;
+  PlanScratch* lentScratch_;  // or, when null, ownScratch_
+  PlanScratch ownScratch_;
   std::size_t evaluations_ = 0;
   std::size_t fallbacksTaken_ = 0;
 

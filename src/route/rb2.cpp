@@ -4,13 +4,12 @@
 
 namespace meshrt {
 
-std::optional<DetourPlanner::Plan> Rb2Router::phase(const QuadrantAnalysis& qa,
-                                                    Point u, Point dL) {
+std::optional<DetourPlanner::Plan> Rb2Router::phase(
+    const QuadrantAnalysis& qa, Point u, Point dL, std::vector<Point>* leg) {
   DetourPlanner planner(qa, exactFallback_,
-                        &caches_[static_cast<std::size_t>(qa.quadrant())]);
-  auto plan = planner.plan(u, dL, /*known=*/nullptr, order_);
-  if (!plan || plan->legPath.empty()) return std::nullopt;
-  return plan;
+                        &caches_[static_cast<std::size_t>(qa.quadrant())],
+                        &scratch_);
+  return planner.plan(u, dL, /*known=*/nullptr, order_, leg);
 }
 
 std::optional<Rb2Router::LocalPair> Rb2Router::localPair(Point s,
@@ -39,11 +38,12 @@ RouteResult Rb2Router::route(Point s, Point d) {
   Point u = pair->u;
 
   const std::size_t maxPhases = qa.mccs().size() * 4 + 8;
+  std::vector<Point> leg;
   while (u != dL && result.phases < maxPhases) {
-    const auto plan = phase(qa, u, dL);
+    const auto plan = phase(qa, u, dL, &leg);
     if (!plan) return result;  // no safe detour
-    for (std::size_t i = 1; i < plan->legPath.size(); ++i) {
-      result.path.push_back(frame.toWorld(plan->legPath[i]));
+    for (std::size_t i = 1; i < leg.size(); ++i) {
+      result.path.push_back(frame.toWorld(leg[i]));
     }
     u = plan->target;
     ++result.phases;
@@ -57,9 +57,9 @@ std::optional<Point> Rb2Router::firstHop(Point s, Point d) {
   if (s == d) return std::nullopt;
   const auto pair = localPair(s, d);
   if (!pair) return std::nullopt;
-  const auto plan = phase(*pair->qa, pair->u, pair->dL);
+  const auto plan = phase(*pair->qa, pair->u, pair->dL, /*leg=*/nullptr);
   if (!plan) return std::nullopt;
-  return pair->qa->frame().toWorld(plan->legPath[1]);
+  return pair->qa->frame().toWorld(plan->firstStep);
 }
 
 }  // namespace meshrt

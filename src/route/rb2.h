@@ -7,6 +7,7 @@
 
 #include <array>
 #include <optional>
+#include <vector>
 
 #include "info/reachability.h"
 #include "fault/analysis.h"
@@ -34,8 +35,8 @@ class Rb2Router : public Router {
   /// With the exact fallback, one plan: every plan then ends on a shortest
   /// path, so the exact distance left falls each phase, no MCC corner is
   /// targeted twice, and route() delivers exactly when its first plan
-  /// exists. Nothing bounds rb2-literal's later phases, so it routes in
-  /// full.
+  /// exists. The plan works out only its leg's first step, not the leg.
+  /// Nothing bounds rb2-literal's later phases, so it routes in full.
   std::optional<Point> firstHop(Point s, Point d) override;
 
  private:
@@ -50,18 +51,21 @@ class Rb2Router : public Router {
   std::optional<LocalPair> localPair(Point s, Point d) const;
 
   /// One phase from u toward dL (both local to qa's frame): the plan
-  /// whose leg route() walks, or nullopt when no safe detour exists.
+  /// whose leg route() walks, written to `leg` when given, or nullopt when
+  /// no safe detour exists.
   std::optional<DetourPlanner::Plan> phase(const QuadrantAnalysis& qa,
-                                           Point u, Point dL);
+                                           Point u, Point dL,
+                                           std::vector<Point>* leg);
 
   const FaultAnalysis* analysis_;
   PathOrder order_;
   bool exactFallback_;
   /// One per quadrant, shared by every route through it; the planner
-  /// rebinds a cache whenever its analysis was patched since. route()
-  /// fills them, so a router serves one thread at a time, as every
-  /// Router does.
+  /// rebinds a cache whenever its analysis was patched since. route() and
+  /// firstHop() fill them and reuse one scratch, so a router serves one
+  /// thread at a time, as every Router does.
   std::array<PlanCache, 4> caches_;
+  PlanScratch scratch_;
 };
 
 }  // namespace meshrt

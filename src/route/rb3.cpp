@@ -42,7 +42,8 @@ RouteResult Rb3Router::route(Point s, Point d) {
   Point u = frame.toLocal(s);
   if (!labels.isSafe(u) || !labels.isSafe(dL)) return result;
 
-  DetourPlanner planner(qa);
+  DetourPlanner planner(qa, /*exactFallback=*/true, /*cache=*/nullptr,
+                        &scratch_);
 
   // Triples the message has seen: the node-local stores it visited plus
   // MCCs sensed on contact. Kept sorted for the planner's binary search.
@@ -91,10 +92,11 @@ RouteResult Rb3Router::route(Point s, Point d) {
   const std::size_t maxPhases = qa.mccs().size() * 8 + 32;
   const std::size_t escapeBudget =
       static_cast<std::size_t>(mesh.nodeCount()) * 4;
+  std::vector<Point> hops;  // the leg of the latest plan
 
   while (u != dL && result.phases < maxPhases) {
     ++result.phases;
-    auto plan = planner.plan(u, dL, &known, order_);
+    auto plan = planner.plan(u, dL, &known, order_, &hops);
     if (!plan) {
       // Every known detour is ruled out: creep around the obstacle
       // clockwise (the Algorithm 3 detour), learning triples as boundary
@@ -109,7 +111,7 @@ RouteResult Rb3Router::route(Point s, Point d) {
         u = u + offset(heading);
         result.path.push_back(frame.toWorld(u));
         mergeAt(u);
-        plan = planner.plan(u, dL, &known, order_);
+        plan = planner.plan(u, dL, &known, order_, &hops);
       }
       if (!plan) return result;
     }
@@ -119,7 +121,6 @@ RouteResult Rb3Router::route(Point s, Point d) {
     // the message crosses a node holding new triples (a boundary line or a
     // ring), the decision changes there — so we re-plan on every knowledge
     // gain, and on contact with an MCC the plan missed.
-    const std::vector<Point>& hops = plan->legPath;
     if (hops.empty()) return result;
     learned = false;
     for (std::size_t i = 1; i < hops.size(); ++i) {

@@ -54,6 +54,7 @@ class Rb3Router : public Router {
   Rb3Knowledge knowledge_;
   const KnowledgeBundle* shared_;
   std::array<std::unique_ptr<QuadrantInfo>, 4> info_;
+  PlanScratch scratch_;  // every route's planner reuses it
 };
 
 }  // namespace meshrt

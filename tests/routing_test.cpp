@@ -329,12 +329,19 @@ TEST(PlannerTest, LegPathMatchesPlannedDistanceWhenDirect) {
   const FaultSet faults = faultsAt(mesh, {{4, 4}});
   const FaultAnalysis fa(faults);
   DetourPlanner planner(fa.quadrant(Quadrant::NE));
-  const auto plan = planner.plan({1, 1}, {8, 8}, nullptr);
+  std::vector<Point> leg;
+  const auto plan =
+      planner.plan({1, 1}, {8, 8}, nullptr, PathOrder::Balanced, &leg);
   ASSERT_TRUE(plan.has_value());
-  ASSERT_FALSE(plan->legPath.empty());
-  EXPECT_EQ(plan->legPath.front(), (Point{1, 1}));
-  EXPECT_EQ(plan->legPath.back(), (Point{8, 8}));
-  EXPECT_EQ(static_cast<Distance>(plan->legPath.size()) - 1, plan->dist);
+  ASSERT_FALSE(leg.empty());
+  EXPECT_EQ(leg.front(), (Point{1, 1}));
+  EXPECT_EQ(leg.back(), (Point{8, 8}));
+  EXPECT_EQ(static_cast<Distance>(leg.size()) - 1, plan->dist);
+  EXPECT_EQ(plan->firstStep, leg[1]);
+  // Without a leg, the plan works out the same first step.
+  const auto bare = planner.plan({1, 1}, {8, 8}, nullptr);
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_EQ(bare->firstStep, leg[1]);
 }
 
 // PlanCache must answer exactly what the uncached planner computes per
@@ -399,10 +406,15 @@ TEST(PlannerTest, CachedForwardFieldMatchesMonotoneField) {
   // The cache's forward sweep stands in for MonotoneField(a, b) in
   // full-knowledge plans: its reach bits (on the rectangle and the ring
   // around it), its blocking frontier and both extracted path orders must
-  // be MonotoneField's, over every ordered pair. The wide meshes have rows
-  // of two and three words.
+  // be MonotoneField's, over every ordered pair. So must the first step,
+  // which the cache finds without extracting the path, for every pair
+  // with a reachable target (same row, same column and adjacent pairs
+  // included). The wide meshes have rows of two and three words.
   std::size_t frontierCells = 0;
   std::size_t paths = 0;
+  std::size_t forcedSteps = 0;  // only one of a's two steps reaches b
+  std::size_t walkedSteps = 0;  // both do: the backward walk decides
+  std::vector<Point> cells;
   std::uint64_t seed = 43;
   std::vector<std::pair<Mesh2D, std::size_t>> meshes;  // mesh, fault %
   for (const Mesh2D& mesh : planCacheMeshes()) meshes.push_back({mesh, 15});
@@ -437,22 +449,34 @@ TEST(PlannerTest, CachedForwardFieldMatchesMonotoneField) {
             }
           }
           const std::vector<Point> frontier = field.blockingFrontier();
-          ASSERT_EQ(cache.blockingFrontier(a, b), frontier)
-              << "a=" << a.str() << " b=" << b.str();
+          cache.blockingFrontier(a, b, cells);
+          ASSERT_EQ(cells, frontier) << "a=" << a.str() << " b=" << b.str();
           frontierCells += frontier.size();
           for (const PathOrder order :
                {PathOrder::Balanced, PathOrder::XFirst}) {
-            ASSERT_EQ(cache.monotonePath(a, b, order),
-                      field.extractPath(order))
+            const std::vector<Point> path = field.extractPath(order);
+            ASSERT_EQ(cache.monotonePath(a, b, order), path)
+                << "a=" << a.str() << " b=" << b.str();
+            if (path.size() < 2) continue;
+            ASSERT_EQ(cache.firstStep(a, b, order), path[1])
                 << "a=" << a.str() << " b=" << b.str();
           }
           if (field.targetReachable()) ++paths;
+          if (field.targetReachable() && a.x != b.x && a.y != b.y) {
+            const Point stepX{a.x + (b.x > a.x ? 1 : -1), a.y};
+            const Point stepY{a.x, a.y + (b.y > a.y ? 1 : -1)};
+            ++(cache.reaches(stepX, b) && cache.reaches(stepY, b)
+                   ? walkedSteps
+                   : forcedSteps);
+          }
         }
       }
     }
   }
   EXPECT_GT(frontierCells, 0u);
   EXPECT_GT(paths, 0u);
+  EXPECT_GT(forcedSteps, 0u);
+  EXPECT_GT(walkedSteps, 0u);
 }
 
 TEST(PlannerTest, ReachFieldsStayUnderByteCap) {
@@ -572,11 +596,16 @@ TEST(PlannerTest, Rb2CacheRebindsAcrossFaultToggles) {
   std::optional<Point> bridged;
   for (int round = 0; round < 36; ++round) {
     // Route before the toggle too, so every cache is bound to the
-    // pre-toggle version when the patch lands.
+    // pre-toggle version when the patch lands. The last plans head for
+    // `dest`, whose column is the first thing compiled after the toggle,
+    // so the caches' first post-patch question is often about the target
+    // they answered last before it.
     for (int k = 0; k < 8; ++k) {
       held.route(randomHealthy(model.faults(), rng),
                  randomHealthy(model.faults(), rng));
     }
+    Point dest = randomHealthy(model.faults(), rng);
+    compileRouteColumn(held, model.faults(), dest);
     const std::size_t before = ne.mccCount();
     bool added = false;
     if (bridged) {
@@ -599,6 +628,17 @@ TEST(PlannerTest, Rb2CacheRebindsAcrossFaultToggles) {
     if (!added && after > before) ++splits;
 
     Rb2Router fresh(model.analysis());
+    if (!model.faults().isHealthy(dest)) {
+      dest = randomHealthy(model.faults(), rng);
+    }
+    const RouteColumn heldColumn =
+        compileRouteColumn(held, model.faults(), dest);
+    const RouteColumn freshColumn =
+        compileRouteColumn(fresh, model.faults(), dest);
+    for (NodeId id = 0; id < mesh.nodeCount(); ++id) {
+      ASSERT_EQ(heldColumn.next(id), freshColumn.next(id))
+          << "round " << round << " node " << mesh.point(id).str();
+    }
     for (int k = 0; k < 30; ++k) {
       const Point s = randomHealthy(model.faults(), rng);
       const Point d = randomHealthy(model.faults(), rng);
@@ -607,15 +647,6 @@ TEST(PlannerTest, Rb2CacheRebindsAcrossFaultToggles) {
       ASSERT_EQ(a.delivered, b.delivered) << "round " << round;
       ASSERT_EQ(a.phases, b.phases) << "round " << round;
       ASSERT_EQ(a.path, b.path) << "round " << round;
-    }
-    const Point dest = randomHealthy(model.faults(), rng);
-    const RouteColumn heldColumn =
-        compileRouteColumn(held, model.faults(), dest);
-    const RouteColumn freshColumn =
-        compileRouteColumn(fresh, model.faults(), dest);
-    for (NodeId id = 0; id < mesh.nodeCount(); ++id) {
-      ASSERT_EQ(heldColumn.next(id), freshColumn.next(id))
-          << "round " << round << " node " << mesh.point(id).str();
     }
   }
   EXPECT_GT(merges, 0u);

@@ -203,11 +203,13 @@ class UncachedRb2 final : public Router {
     if (!qa.labels().isSafe(u) || !qa.labels().isSafe(dL)) return result;
     DetourPlanner planner(qa, exactFallback_, nullptr);
     const std::size_t maxPhases = qa.mccs().size() * 4 + 8;
+    std::vector<Point> leg;
     while (u != dL && result.phases < maxPhases) {
-      const auto plan = planner.plan(u, dL, /*known=*/nullptr);
-      if (!plan || plan->legPath.empty()) break;
-      for (std::size_t i = 1; i < plan->legPath.size(); ++i) {
-        result.path.push_back(frame.toWorld(plan->legPath[i]));
+      const auto plan = planner.plan(u, dL, /*known=*/nullptr,
+                                     PathOrder::Balanced, &leg);
+      if (!plan || leg.empty()) break;
+      for (std::size_t i = 1; i < leg.size(); ++i) {
+        result.path.push_back(frame.toWorld(leg[i]));
       }
       u = plan->target;
       ++result.phases;
@@ -281,7 +283,9 @@ TEST(RouteTableTest, Rb2FirstHopMatchesRouteFirstStep) {
   // Columns compile through firstHop. rb2 answers it with one plan, which
   // is exact because the exact fallback makes every later phase succeed;
   // rb2-literal has no such guarantee and routes in full. The configs are
-  // Rb2PlanCacheMatchesUncachedPlanner's.
+  // Rb2PlanCacheMatchesUncachedPlanner's. The router also routes between
+  // its first hops, to d and to other pairs, so its plans share caches and
+  // scratch with route()'s.
   struct Config {
     Coord size;
     int faultPct;
@@ -307,12 +311,19 @@ TEST(RouteTableTest, Rb2FirstHopMatchesRouteFirstStep) {
                      (order == PathOrder::XFirst ? " x-first" : ""));
         Rb2Router router(fa, order, exactFallback);
         Rb2Router reference(fa, order, exactFallback);
+        Rng others = Rng::forStream(1507, 1);
         for (int k = 0; k < 2; ++k) {
           const Point d = randomHealthy(faults, rng);
           for (NodeId id = 0; id < mesh.nodeCount(); ++id) {
             const Point s = mesh.point(id);
             if (s == d || faults.isFaulty(s)) continue;
             const RouteResult res = reference.route(s, d);
+            if (id % 4 == 0) {
+              ASSERT_EQ(router.route(s, d).path, res.path)
+                  << s.str() << "->" << d.str();
+              router.route(randomHealthy(faults, others),
+                           randomHealthy(faults, others));
+            }
             const std::optional<Point> hop = router.firstHop(s, d);
             ASSERT_EQ(hop.has_value(), res.delivered)
                 << s.str() << "->" << d.str();
