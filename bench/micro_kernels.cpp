@@ -589,11 +589,8 @@ BENCHMARK(BM_ServeBatch)->Arg(1)->Arg(16)->Arg(1024);
 // --- task-group executor overhead ---------------------------------------
 //
 // The cost of the per-batch wait discipline itself: submit N no-op jobs
-// and wait, on a FRESH TaskGroup per batch vs reusing the pool's
-// built-in default group (the submit()/wait() shorthand — itself group
-// machinery since the global-barrier pool was replaced, so the pair
-// isolates the per-batch group construction, not old-vs-new executors).
-// Arg(0) measures a bare create+wait on an empty group.
+// on a FRESH TaskGroup per batch and wait. Arg(0) measures a bare
+// create+wait on an empty group.
 
 void BM_TaskGroupOverhead(benchmark::State& state) {
   ThreadPool pool(2);
@@ -609,20 +606,6 @@ void BM_TaskGroupOverhead(benchmark::State& state) {
                           static_cast<std::int64_t>(jobs ? jobs : 1));
 }
 BENCHMARK(BM_TaskGroupOverhead)->Arg(0)->Arg(64);
-
-void BM_PoolWideWaitOverhead(benchmark::State& state) {
-  ThreadPool pool(2);
-  const auto jobs = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    for (std::size_t j = 0; j < jobs; ++j) {
-      pool.submit([] {});
-    }
-    pool.wait();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(jobs ? jobs : 1));
-}
-BENCHMARK(BM_PoolWideWaitOverhead)->Arg(64);
 
 }  // namespace
 

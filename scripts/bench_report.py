@@ -37,7 +37,7 @@ import subprocess
 import sys
 from datetime import datetime, timezone
 
-MICRO_FILTER = "ChaseColumn|ChaseDiverging|TaskGroupOverhead|PoolWideWait"
+MICRO_FILTER = "ChaseColumn|ChaseDiverging|TaskGroupOverhead"
 
 
 def run_json(cmd, extra_env=None):

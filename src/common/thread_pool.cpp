@@ -6,8 +6,7 @@
 namespace meshrt {
 
 ThreadPool::ThreadPool(std::size_t threads, PoolTelemetry telemetry)
-    : defaultGroup_(std::make_shared<detail::GroupState>()),
-      telemetry_(std::move(telemetry)) {
+    : telemetry_(std::move(telemetry)) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -119,20 +118,6 @@ void ThreadPool::helpUntilIdle(detail::GroupState& group) {
   }
 }
 
-void ThreadPool::submit(std::function<void()> job) {
-  enqueue(defaultGroup_, std::move(job));
-}
-
-void ThreadPool::wait() {
-  helpUntilIdle(*defaultGroup_);
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(defaultGroup_->mutex);
-    error = std::exchange(defaultGroup_->firstError, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
-}
-
 void ThreadPool::workerLoop() {
   for (;;) {
     QueuedJob entry;
@@ -182,11 +167,6 @@ void parallelFor(ThreadPool& pool, std::size_t count,
     });
   }
   group.wait();
-}
-
-void serialFor(std::size_t count,
-               const std::function<void(std::size_t)>& body) {
-  for (std::size_t i = 0; i < count; ++i) body(i);
 }
 
 }  // namespace meshrt

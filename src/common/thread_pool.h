@@ -62,10 +62,9 @@ struct GroupState {
 
 /// Fixed-size pool executing void() jobs FIFO from a shared queue.
 ///
-/// Jobs are always submitted through a TaskGroup (the pool's own
-/// submit()/wait() pair is shorthand for a built-in default group kept
-/// for single-caller use — tests, one-off fan-outs). Independent groups
-/// share the workers but wait independently.
+/// Jobs are submitted only through a TaskGroup (or parallelFor, which
+/// makes one). Independent groups share the workers but wait
+/// independently.
 class ThreadPool {
  public:
   /// `threads == 0` selects hardware_concurrency (at least 1).
@@ -76,17 +75,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t threadCount() const { return workers_.size(); }
-
-  /// Enqueues a job on the built-in default group. A throwing job does
-  /// not kill the worker: the first exception is captured and rethrown
-  /// from the next wait().
-  void submit(std::function<void()> job);
-
-  /// Blocks until every default-group job has finished, then rethrows
-  /// the first exception any of them raised since the last wait() (if
-  /// any). Jobs submitted through TaskGroups are NOT waited on here —
-  /// that is the whole point of groups.
-  void wait();
 
  private:
   friend class TaskGroup;
@@ -124,7 +112,6 @@ class ThreadPool {
   std::deque<QueuedJob> jobs_;
   std::mutex mutex_;
   std::condition_variable cvJob_;
-  std::shared_ptr<detail::GroupState> defaultGroup_;
   PoolTelemetry telemetry_;
   bool stop_ = false;
 };
@@ -176,8 +163,5 @@ class TaskGroup {
 /// helps run its own chunks). Safe to call with count == 0.
 void parallelFor(ThreadPool& pool, std::size_t count,
                  const std::function<void(std::size_t)>& body);
-
-/// Serial fallback used by tests and by callers without a pool.
-void serialFor(std::size_t count, const std::function<void(std::size_t)>& body);
 
 }  // namespace meshrt

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "fault/analysis.h"
+#include "info/knowledge.h"
 #include "route/ecube.h"
 #include "route/optimal.h"
 #include "route/rb1.h"
@@ -49,7 +50,8 @@ void registerBuiltins(RouterRegistry& r) {
         [](const RouterContext& ctx) -> std::unique_ptr<Router> {
           return std::make_unique<Rb1Router>(needAnalysis(ctx, "rb1"),
                                              ctx.knowledge);
-        });
+        },
+        {InfoModel::B1});
   r.add("rb2", "RB2",
         "Algorithm 5 over full information B2 (exact-field verification)",
         [](const RouterContext& ctx) -> std::unique_ptr<Router> {
@@ -68,7 +70,8 @@ void registerBuiltins(RouterRegistry& r) {
                                              PathOrder::Balanced,
                                              Rb3Knowledge::Boundary,
                                              ctx.knowledge);
-        });
+        },
+        {InfoModel::B3});
   r.add("rb3-contact", "RB3(sense)",
         "RB3 restricted to neighbor sensing (no stored triples)",
         [](const RouterContext& ctx) -> std::unique_ptr<Router> {
@@ -76,7 +79,8 @@ void registerBuiltins(RouterRegistry& r) {
                                              PathOrder::Balanced,
                                              Rb3Knowledge::ContactOnly,
                                              ctx.knowledge);
-        });
+        },
+        {InfoModel::B3});
   r.add("rb3-full", "RB3(full)",
         "RB3 with complete information (degenerates to RB2)",
         [](const RouterContext& ctx) -> std::unique_ptr<Router> {
@@ -84,7 +88,8 @@ void registerBuiltins(RouterRegistry& r) {
                                              PathOrder::Balanced,
                                              Rb3Knowledge::Full,
                                              ctx.knowledge);
-        });
+        },
+        {InfoModel::B3});
   r.add("optimal", "Optimal", "global-knowledge BFS oracle (ground truth)",
         [](const RouterContext& ctx) -> std::unique_ptr<Router> {
           return std::make_unique<OptimalRouter>(needFaults(ctx, "optimal"));
@@ -111,7 +116,8 @@ RouterRegistry& RouterRegistry::global() {
 }
 
 void RouterRegistry::add(std::string key, std::string display,
-                         std::string help, RouterFactory factory) {
+                         std::string help, RouterFactory factory,
+                         std::vector<InfoModel> knowledge) {
   if (key.empty()) {
     throw std::invalid_argument("router key must not be empty");
   }
@@ -119,7 +125,8 @@ void RouterRegistry::add(std::string key, std::string display,
     throw std::invalid_argument("router '" + key + "' already registered");
   }
   entries_.push_back(Entry{std::move(key), std::move(display),
-                           std::move(help), std::move(factory)});
+                           std::move(help), std::move(factory),
+                           std::move(knowledge)});
 }
 
 bool RouterRegistry::contains(std::string_view key) const {

@@ -7,6 +7,7 @@
 // no harness edits.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@ namespace meshrt {
 class FaultSet;
 class FaultAnalysis;
 class KnowledgeBundle;
+enum class InfoModel : std::uint8_t;  // info/knowledge.h
 
 /// What a factory may consume. The context (and the FaultSet/FaultAnalysis
 /// it points to) must outlive every router created from it.
@@ -29,9 +31,10 @@ struct RouterContext {
   /// Optional pre-built, pre-synced quadrant knowledge (info/knowledge.h).
   /// When the bundle captured the model a knowledge-based router needs,
   /// the router reads it instead of building its own QuadrantInfo — the
-  /// route service fills this from its epoch snapshots so sharded table
-  /// compiles don't rebuild knowledge per column. Must stay in sync with
-  /// `analysis`; plain benches leave it null and lose nothing.
+  /// route service fills this from its epoch snapshots, under the models
+  /// the key's registry entry declares, so sharded table compiles don't
+  /// rebuild knowledge per column. Must stay in sync with `analysis`;
+  /// plain benches leave it null and lose nothing.
   const KnowledgeBundle* knowledge = nullptr;
 };
 
@@ -48,15 +51,19 @@ class RouterRegistry {
     std::string display;  // table-header name, e.g. "RB2(lit)"
     std::string help;     // one-line description
     RouterFactory factory;
+    /// Info models the router reads from RouterContext::knowledge (B1 for
+    /// rb1, B3 for the rb3 family, none elsewhere): exactly what the
+    /// route service captures into its snapshots for this key.
+    std::vector<InfoModel> knowledge;
   };
 
   /// The process-wide registry, pre-populated with the built-ins.
   static RouterRegistry& global();
 
-  /// Registers a router. Throws std::invalid_argument on an empty or
-  /// duplicate key.
+  /// Registers a router that reads `knowledge` from its context. Throws
+  /// std::invalid_argument on an empty or duplicate key.
   void add(std::string key, std::string display, std::string help,
-           RouterFactory factory);
+           RouterFactory factory, std::vector<InfoModel> knowledge = {});
 
   bool contains(std::string_view key) const;
 

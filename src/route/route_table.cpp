@@ -111,7 +111,8 @@ void registerTableizedRouters(RouterRegistry& registry) {
     if (key.starts_with("table:")) continue;
     const RouterRegistry::Entry& entry = registry.at(key);
     // Capture the inner factory itself (not a global() lookup) so
-    // wrappers registered on a custom registry keep working there.
+    // wrappers registered on a custom registry keep working there. The
+    // wrapped router reads the inner key's knowledge, so it declares it.
     registry.add(
         "table:" + key, entry.display + "·tbl",
         "compiled next-hop table over '" + key + "' (lazy per-destination)",
@@ -122,7 +123,8 @@ void registerTableizedRouters(RouterRegistry& registry) {
                                         "' requires RouterContext.faults");
           }
           return std::make_unique<TableizedRouter>(inner(ctx), *ctx.faults);
-        });
+        },
+        entry.knowledge);
   }
 }
 

@@ -7,8 +7,9 @@
 // this graph computes the transitive closure of the paper's Eq. 2
 // recursion — any multi-phase route of Manhattan legs between corners is
 // representable — so its distance must equal the planner's (and the
-// safe-BFS optimum) on every solvable instance. Used by tests and the
-// ablation benches; quadratic in corner count, so not for the hot path.
+// safe-BFS optimum) on every solvable instance. Used only by
+// tests/baselines_test.cpp; quadratic in corner count, so not for the hot
+// path.
 //
 // BoundaryWaypointGraph is the cross-shard planning seam of the service
 // fleet (src/service/fleet.h): its vertices are the healthy border

@@ -12,6 +12,19 @@ namespace meshrt {
 
 namespace {
 
+/// Waypoints tried per border before the border is declared blocked and
+/// the shard path replanned.
+constexpr std::size_t kWaypointRetries = 3;
+
+/// Crossing cells whose (x + y) is a multiple of this spacing are portal
+/// anchors: candidate exits prefer an anchor over a non-anchor within the
+/// same coarse distance band (2 * spacing) of the destination. Every
+/// distinct exit cell a stitch uses costs a compiled column per epoch in
+/// the shard ahead of it — and a patch of that column on every later
+/// fault event — so steering traffic through a few portals per border
+/// bounds both. Paths stay valid and at most one band longer.
+constexpr Coord kPortalSpacing = 8;
+
 /// Rebuild pacing after consecutive failures: the first quarantine
 /// rebuilds at the next supervisor poll, repeat offenders back off
 /// exponentially (a permanently poisoned event keeps its shard cycling
@@ -374,49 +387,6 @@ void ServiceFleet::rebuildShard(std::size_t k) {
   restarts_->add(1);
   shard.wake.notify_all();  // replay the queue (failed event first)
   shard.idle.notify_all();
-}
-
-void ServiceFleet::applyAddFault(Point p) {
-  for (const std::size_t k : layout_.covering(p)) {
-    Shard& shard = *shards_[k];
-    const Point local = layout_.toLocal(k, p);
-    const bool border = touchesOwnedBorder(layout_, k, local);
-    if (border) {
-      // Pre-apply half of the border-epoch double bump (applierLoop).
-      std::lock_guard<std::mutex> guard(shard.mutex);
-      ++shard.borderEpoch;
-    }
-    const std::shared_ptr<RouteService> service = shard.serviceRef();
-    const std::uint64_t epoch = service->applyAddFault(local);
-    {
-      std::lock_guard<std::mutex> guard(shard.mutex);
-      shard.applied.add(local);
-      if (border) ++shard.borderEpoch;  // post-publish half
-    }
-    shard.epoch->set(static_cast<std::int64_t>(epoch));
-    eventsApplied_->add(1);
-  }
-}
-
-void ServiceFleet::applyRemoveFault(Point p) {
-  for (const std::size_t k : layout_.covering(p)) {
-    Shard& shard = *shards_[k];
-    const Point local = layout_.toLocal(k, p);
-    const bool border = touchesOwnedBorder(layout_, k, local);
-    if (border) {
-      std::lock_guard<std::mutex> guard(shard.mutex);
-      ++shard.borderEpoch;
-    }
-    const std::shared_ptr<RouteService> service = shard.serviceRef();
-    const std::uint64_t epoch = service->applyRemoveFault(local);
-    {
-      std::lock_guard<std::mutex> guard(shard.mutex);
-      shard.applied.remove(local);
-      if (border) ++shard.borderEpoch;
-    }
-    shard.epoch->set(static_cast<std::int64_t>(epoch));
-    eventsApplied_->add(1);
-  }
 }
 
 SubmitResult ServiceFleet::submit(Point p, bool add) {
@@ -879,18 +849,15 @@ void ServiceFleet::serveCross(StitchPlanner::Session& session,
       // popular destinations are the serving-path common case; a
       // cur-keyed order costs a column compile per distinct source
       // position). Within a coarse distance band, portal anchors sort
-      // first (FleetConfig::portalSpacing): fewer distinct exit cells
-      // means fewer waypoint columns to compile and patch per epoch.
-      // The positional tie-break is crossing-list order, the order the
+      // first (kPortalSpacing): fewer distinct exit cells means fewer
+      // waypoint columns to compile and patch per epoch. The positional
+      // tie-break is crossing-list order, the order the
       // BoundaryWaypointGraph oracle indexes a border in.
-      const Coord spacing = cfg_.portalSpacing;
       const auto nonAnchor = [&](std::size_t wi) {
-        if (spacing <= 0) return false;
         const Point p = cellIn(candidates[wi]);
-        return (p.x + p.y) % spacing != 0;
+        return (p.x + p.y) % kPortalSpacing != 0;
       };
-      const Distance band =
-          spacing > 0 ? static_cast<Distance>(2 * spacing) : 1;
+      constexpr auto band = static_cast<Distance>(2 * kPortalSpacing);
       // The planner probes each crossing cell in its owner's pinned view
       // only. Mid-apply, the other side's halo replica can still
       // disagree (a queued event has reached one covering shard but not
@@ -916,9 +883,7 @@ void ServiceFleet::serveCross(StitchPlanner::Session& session,
                   if (na != nb) return nb;
                   return sa != sb ? sa < sb : a < b;
                 });
-      if (order.size() > cfg_.waypointRetries) {
-        order.resize(cfg_.waypointRetries);
-      }
+      if (order.size() > kWaypointRetries) order.resize(kWaypointRetries);
       bool crossed = false;
       for (const std::size_t wi : order) {
         const StitchPlanner::Waypoint& w = candidates[wi];

@@ -19,9 +19,9 @@
 //     per-segment epoch vector the result reports (section 11.4).
 //
 // Fault events route to every shard whose local rectangle holds the cell
-// (owner + halo neighbors): either synchronously (applyAddFault) or
-// through per-shard writer queues drained by per-shard applier threads
-// (submitAddFault). Admission control watches those queues: when a
+// (owner + halo neighbors) through one channel: per-shard writer queues
+// (submit*) drained by per-shard applier threads; drainWriters() waits
+// for them to apply. Admission control watches those queues: when a
 // shard's backlog exceeds maxWriterQueue, queries touching it are served
 // from the (stale) current epoch with a kStale flag (Degrade) or refused
 // with a kShed flag (Shed) — the fleet never blocks readers on a slow
@@ -149,8 +149,8 @@ struct SubmitRetryPolicy {
 };
 
 struct FleetConfig {
-  /// Per-shard RouteService configuration (router key, encoding,
-  /// storage, per-shard pool threads).
+  /// Per-shard RouteService configuration (router key, per-shard pool
+  /// threads, column budget, telemetry).
   ServiceConfig service;
   /// Shard grid side: the mesh splits into grid x grid shards.
   std::size_t grid = 2;
@@ -177,18 +177,6 @@ struct FleetConfig {
   std::int64_t stallTimeoutMs = 2000;
   /// Supervisor scan cadence.
   std::int64_t supervisorPollMs = 25;
-  /// Waypoints tried per border before the border is declared blocked
-  /// and the shard path replanned.
-  std::size_t waypointRetries = 3;
-  /// Crossing cells whose (x + y) is a multiple of this spacing are
-  /// portal anchors: candidate exits prefer an anchor over a non-anchor
-  /// within the same coarse distance band (2 * spacing) of the
-  /// destination. Every distinct exit cell a stitch uses costs a
-  /// compiled column per epoch in the shard ahead of it — and a patch
-  /// of that column on every later fault event — so steering traffic
-  /// through a few portals per border bounds both. 0 disables
-  /// anchoring. Paths stay valid and at most one band longer.
-  Coord portalSpacing = 8;
   /// Test seam: called by shard k's applier thread before each event is
   /// applied (a Gate here stalls exactly one shard's writer).
   std::function<void(std::size_t shard)> applyHook;
@@ -318,19 +306,11 @@ class ServiceFleet {
     return shards_[k]->serviceRef();
   }
 
-  /// Applies one global fault event synchronously to every covering
-  /// shard (owner + halo neighbors). Errors propagate to the caller (no
-  /// quarantine — the caller observed the failure directly, and the
-  /// shard service's footprint retention keeps it publishable). Don't
-  /// mix with submit* on the same cells without drainWriters() in
-  /// between: the two channels order independently.
-  void applyAddFault(Point p);
-  void applyRemoveFault(Point p);
-
-  /// Enqueues the event on every covering shard's writer queue; the
-  /// per-shard applier threads publish asynchronously. Never blocks.
-  /// With queueCapacity > 0 a full covering queue rejects the whole
-  /// event (no shard enqueued); unbounded queues always accept.
+  /// Enqueues one global fault event on every covering shard's writer
+  /// queue (owner + halo neighbors); the per-shard applier threads
+  /// publish asynchronously, and drainWriters() waits for them. Never
+  /// blocks. With queueCapacity > 0 a full covering queue rejects the
+  /// whole event (no shard enqueued); unbounded queues always accept.
   SubmitResult submitAddFault(Point p);
   SubmitResult submitRemoveFault(Point p);
 
@@ -401,9 +381,8 @@ class ServiceFleet {
     /// rebuild can retire the instance, so holders keep the shared_ptr.
     std::shared_ptr<RouteService> service;
     /// Authoritative local fault state: every event successfully applied
-    /// (either channel) lands here under `mutex`. A rebuild reconstructs
-    /// the service from this set; it is never derived from the (possibly
-    /// dead) service.
+    /// lands here under `mutex`. A rebuild reconstructs the service from
+    /// this set; it is never derived from the (possibly dead) service.
     FaultSet applied;
     /// Writer queue + applier thread state (queue guarded by mutex).
     mutable std::mutex mutex;

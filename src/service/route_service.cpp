@@ -99,7 +99,9 @@ RouteService::RouteService(const FaultSet& initial, ServiceConfig cfg)
         "of '" +
         cfg_.routerKey + "'");
   }
-  RouterRegistry::global().at(cfg_.routerKey);  // throws on unknown key
+  // at() throws on an unknown key.
+  const std::vector<InfoModel> knowledgeModels =
+      RouterRegistry::global().at(cfg_.routerKey).knowledge;
   MetricsRegistry& reg = cfg_.telemetry.resolve();
   columnsCompiled_ = reg.counter("service.columns_compiled");
   columnsCarried_ = reg.counter("service.columns_carried");
@@ -133,9 +135,11 @@ RouteService::RouteService(const FaultSet& initial, ServiceConfig cfg)
   // built analyses (cloneFor would otherwise label absent quadrants from
   // scratch) and no sharded compile pays first-touch latency.
   model_.analysis().materializeAll();
-  if (!cfg_.captureKnowledge.empty()) {
+  // Capture exactly the knowledge the router reads, so compile jobs never
+  // rebuild quadrant knowledge per router.
+  if (!knowledgeModels.empty()) {
     knowledge_ = std::make_unique<KnowledgeBundle>(model_.analysis(),
-                                                   cfg_.captureKnowledge);
+                                                   knowledgeModels);
   }
   box_.publish(std::make_unique<const ServiceSnapshot>(0, model_,
                                                        knowledge_.get()));
@@ -207,8 +211,8 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   masked.erase(std::unique(masked.begin(), masked.end()), masked.end());
 
   const std::vector<NodeId> present = next->presentColumns();
-  const std::vector<const PackedRouteColumn*> oldColumns =
-      next->columnsFor(present);
+  std::vector<std::shared_ptr<const PackedRouteColumn>> inherited =
+      next->pinColumns(present);
   std::atomic<std::uint64_t> carried{0};
   std::atomic<std::uint64_t> entries{0};
   ServiceSnapshot& snap = *next;
@@ -220,6 +224,8 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   struct PatchWork {
     NodeId id = kInvalidNode;
     bool drop = false;
+    /// The inherited column, kept alive by its pin in `inherited`.
+    const PackedRouteColumn* column = nullptr;
     std::vector<NodeId> cells;
   };
   std::vector<PatchWork> work(present.size());
@@ -230,13 +236,13 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
       work[k].drop = true;
       return;
     }
-    auto cells = chaseUpstream(*oldColumns[k], snap.mesh(), masked);
+    auto cells = chaseUpstream(*inherited[k], snap.mesh(), masked);
     if (cells.empty()) {
       carried.fetch_add(1);  // the inherited column stands as-is
       return;
     }
     entries.fetch_add(cells.size());
-    work[k] = PatchWork{id, false, std::move(cells)};
+    work[k] = PatchWork{id, false, inherited[k].get(), std::move(cells)};
   });
 
   std::uint64_t dropped = 0;
@@ -254,10 +260,10 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   // patched successor REPLACES the inherited column.
   forEachWithChunkRouter(snap, work.size(), [&](Router& router,
                                                 std::size_t i) {
-    const auto old = snap.column(work[i].id);
-    snap.replaceColumn(work[i].id,
-                       std::make_shared<const PackedRouteColumn>(old->patched(
-                           router, snap.faults(), work[i].cells)));
+    snap.replaceColumn(work[i].id, std::make_shared<const PackedRouteColumn>(
+                                       work[i].column->patched(
+                                           router, snap.faults(),
+                                           work[i].cells)));
   });
   columnPatchSpan.stop();
   if (carried.load() != 0) columnsCarried_->add(carried.load());
@@ -267,7 +273,9 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
 
   // Budget the successor BEFORE it publishes: patched columns are brand
   // new bytes (their pages detached from the predecessor), so an epoch
-  // under churn is exactly where an unbounded table would creep.
+  // under churn is exactly where an unbounded table would creep. The
+  // inherited pins go first, or the sweep would skip every slot they hold.
+  inherited.clear();
   maybeEnforceBudget(*next);
 
   const std::uint64_t epoch = next->epoch();
@@ -310,15 +318,16 @@ void RouteService::forEachWithChunkRouter(
   group.wait();
 }
 
-void RouteService::compileColumns(const ServiceSnapshot& snap,
-                                  std::vector<NodeId> dests) {
+std::vector<std::shared_ptr<const PackedRouteColumn>>
+RouteService::compileColumns(const ServiceSnapshot& snap,
+                             const std::vector<NodeId>& dests) {
+  std::vector<std::shared_ptr<const PackedRouteColumn>> pins(dests.size());
   forEachWithChunkRouter(snap, dests.size(), [&](Router& router,
                                                  std::size_t i) {
     const Point dest = snap.mesh().point(dests[i]);
-    snap.installColumn(dests[i],
-                       std::make_shared<const PackedRouteColumn>(
-                           compilePackedRouteColumn(router, snap.faults(),
-                                                    dest)));
+    pins[i] = snap.installColumn(
+        dests[i], std::make_shared<const PackedRouteColumn>(
+                      compilePackedRouteColumn(router, snap.faults(), dest)));
     columnsCompiled_->add(1);
     // A compile that refills an evicted slot is the budget's extra work;
     // fetch_and hands the bit to exactly one concurrent compiler.
@@ -328,49 +337,32 @@ void RouteService::compileColumns(const ServiceSnapshot& snap,
             std::memory_order_relaxed);
     if (prev & ColumnCachePolicy::kEvictedBit) columnsRecompiled_->add(1);
   });
+  return pins;
 }
 
 std::vector<std::shared_ptr<const PackedRouteColumn>>
 RouteService::pinOrCompile(const ServiceSnapshot& snap,
                            const std::vector<NodeId>& dests) {
   auto pins = snap.pinColumns(dests);
-  const bool budget = cachePolicy_.active();
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    std::vector<NodeId> missing;
-    for (std::size_t i = 0; i < dests.size(); ++i) {
-      if (!pins[i]) missing.push_back(dests[i]);
-    }
-    if (missing.empty()) break;
-    std::sort(missing.begin(), missing.end());  // deterministic compile order
-    compileColumns(snap, std::move(missing));
-    pins = snap.pinColumns(dests);
-    // Without a budget nothing evicts between install and pin, so one
-    // compile round always lands; with one, a concurrent sweep can win
-    // the race and we go again.
-    if (!budget) break;
-  }
-  std::vector<std::size_t> stragglers;
+  std::vector<std::size_t> missing;
   for (std::size_t i = 0; i < dests.size(); ++i) {
-    if (!pins[i]) stragglers.push_back(i);
+    if (!pins[i]) missing.push_back(i);
   }
-  if (!stragglers.empty()) {
-    // Terminal fallback: compile batch-local columns WITHOUT installing
-    // them — nothing can evict what the table never held, so the batch
-    // makes progress no matter how hot the sweep runs. Identical bytes
-    // to an installed compile (same compilePackedRouteColumn).
-    std::vector<std::shared_ptr<const PackedRouteColumn>> local(
-        stragglers.size());
-    forEachWithChunkRouter(
-        snap, stragglers.size(), [&](Router& router, std::size_t i) {
-          const Point dest = snap.mesh().point(dests[stragglers[i]]);
-          local[i] = std::make_shared<const PackedRouteColumn>(
-              compilePackedRouteColumn(router, snap.faults(), dest));
-        });
-    for (std::size_t i = 0; i < stragglers.size(); ++i) {
-      pins[stragglers[i]] = std::move(local[i]);
+  if (!missing.empty()) {
+    // Ascending ids: a deterministic compile order whatever the batch's.
+    std::sort(missing.begin(), missing.end(),
+              [&](std::size_t a, std::size_t b) {
+                return dests[a] < dests[b];
+              });
+    std::vector<NodeId> ids;
+    ids.reserve(missing.size());
+    for (const std::size_t i : missing) ids.push_back(dests[i]);
+    auto compiled = compileColumns(snap, ids);
+    for (std::size_t j = 0; j < missing.size(); ++j) {
+      pins[missing[j]] = std::move(compiled[j]);
     }
   }
-  if (budget) {
+  if (cachePolicy_.active()) {
     for (NodeId d : dests) cachePolicy_.touch(d);
   }
   return pins;
@@ -441,9 +433,8 @@ BatchResult RouteService::serveOn(
   // column budget a sweep can null a slot mid-batch, but never reclaim
   // a column this batch holds. pinOrCompile waits on OUR task group
   // only, and its exceptions are ours alone — after it returns, every
-  // group's column is pinned (an installed one, or a batch-local
-  // fallback compile under a hot eviction sweep), so a chase can never
-  // see a null column.
+  // group's column is pinned (a compile hands back the pin it installed),
+  // so a chase can never see a null column.
   std::vector<std::shared_ptr<const PackedRouteColumn>> pinned;
   {
     TraceSpan compileSpan(serveCompileNs_.get());
@@ -552,7 +543,7 @@ void RouteService::precompileAll() {
       missing.push_back(id);
     }
   }
-  compileColumns(*snap, std::move(missing));
+  compileColumns(*snap, missing);  // the returned pins drop here
   maybeEnforceBudget(*snap);
 }
 

@@ -1,6 +1,7 @@
 // RouteService: the concurrent route-query front end. Compiles the
 // configured router into per-destination next-hop columns (sharded across
-// a thread pool), serves batched point-to-point queries with O(1) table
+// a thread pool, over the quadrant knowledge the router's registry entry
+// declares), serves batched point-to-point queries with O(1) table
 // lookups per hop, and stays correct under live fault churn by serving
 // every batch from an immutable epoch snapshot while applyAddFault /
 // applyRemoveFault build the next epoch from the incremental labeler's
@@ -15,11 +16,13 @@
 // Threading model:
 //   - serve() may be called from any number of reader threads; each batch
 //     is answered entirely against one pinned snapshot through one
-//     pipeline (classify, group by destination, pin, chase, scatter). A
-//     batch whose chaseable queries fit one kChunk slice chases on the
-//     calling thread; a larger one fans its slices out over the
-//     service's pool on a per-batch TaskGroup. Results are bitwise
-//     identical for threads=1 and threads=N.
+//     pipeline (classify, group by destination, pin, chase, scatter).
+//     Each column is pinned once: a resident one by pinColumns, a missing
+//     one by the compile that installs it. A batch whose chaseable
+//     queries fit one kChunk slice chases on the calling thread; a larger
+//     one fans its slices out over the service's pool on a per-batch
+//     TaskGroup. Results are bitwise identical for threads=1 and
+//     threads=N.
 //   - Overlapping batches and the churn writer share the pool's workers
 //     but wait only on their own groups, so they make independent
 //     progress (no global idle barrier), and a job exception surfaces
@@ -57,10 +60,6 @@ struct ServiceConfig {
   std::string routerKey = "rb2";
   /// Worker threads for column compiles and batched serves (0 = cores).
   std::size_t threads = 0;
-  /// Info models to capture into snapshots (pass {InfoModel::B1} for
-  /// rb1, {InfoModel::B3} for the rb3 family); empty skips knowledge
-  /// capture entirely, which is right for rb2/ecube/optimal-class keys.
-  std::vector<InfoModel> captureKnowledge;
   /// Unused; see ColumnEncoding.
   ColumnEncoding encoding = ColumnEncoding::Packed;
   /// Resident column byte ceiling for the bounded column cache (0 =
@@ -210,21 +209,21 @@ class RouteService {
  private:
   std::uint64_t applyEvent(const FaultEvent& event);
   /// Shards `count` work items into contiguous chunks across the pool,
-  /// builds ONE router per chunk job (construction is not free — rb1/rb3
-  /// without captured knowledge rebuild quadrant knowledge) and calls
+  /// builds ONE router per chunk job (a router's caches, such as rb2's
+  /// plan caches, then warm across the chunk's items) and calls
   /// body(router, index) for each item. Blocks until done.
   void forEachWithChunkRouter(
       const ServiceSnapshot& snap, std::size_t count,
       const std::function<void(Router&, std::size_t)>& body);
-  /// Compiles the columns for `dests` (deduplicated NodeIds) into `snap`.
-  void compileColumns(const ServiceSnapshot& snap,
-                      std::vector<NodeId> dests);
-  /// Owning handles for `dests`, compiling missing columns first. With a
-  /// column budget this loops (a concurrent sweep can evict a column
-  /// between its install and our pin) and falls back to batch-local,
-  /// NOT-installed compiles after a few rounds, so progress is
-  /// guaranteed; results are bit-identical either way (both flow through
-  /// compilePackedRouteColumn). Also sets the CLOCK ref bits.
+  /// Compiles the columns for `dests` (deduplicated NodeIds) into `snap`
+  /// and returns the installed handles in `dests` order. Each handle is
+  /// taken under the install's lock, so it pins its column against every
+  /// sweep for as long as the caller holds it.
+  std::vector<std::shared_ptr<const PackedRouteColumn>> compileColumns(
+      const ServiceSnapshot& snap, const std::vector<NodeId>& dests);
+  /// Owning handles for `dests`: one pinColumns pass, then the missing
+  /// destinations compile in ascending id order and hand back their own
+  /// pins. Also sets the CLOCK ref bits.
   std::vector<std::shared_ptr<const PackedRouteColumn>> pinOrCompile(
       const ServiceSnapshot& snap, const std::vector<NodeId>& dests);
   /// Runs the eviction sweep when a budget is configured and refreshes
@@ -236,7 +235,9 @@ class RouteService {
   DynamicFaultModel model_;                       // writer-side state
   /// CLOCK state shared by every epoch of this service (snapshot.h).
   ColumnCachePolicy cachePolicy_;
-  std::unique_ptr<KnowledgeBundle> knowledge_;    // writer-side, optional
+  /// Writer-side quadrant knowledge under the models the router's
+  /// registry entry declares; null when it declares none.
+  std::unique_ptr<KnowledgeBundle> knowledge_;
   mutable ThreadPool pool_;
   SnapshotBox<ServiceSnapshot> box_;
   std::mutex writerMutex_;

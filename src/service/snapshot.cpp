@@ -31,7 +31,7 @@ std::shared_ptr<const PackedRouteColumn> ServiceSnapshot::column(
   return std::as_const(columns_)[mesh().point(dest)];
 }
 
-void ServiceSnapshot::installColumn(
+std::shared_ptr<const PackedRouteColumn> ServiceSnapshot::installColumn(
     NodeId dest, std::shared_ptr<const PackedRouteColumn> column) const {
   std::lock_guard<std::mutex> lock(columnMutex_);
   auto& slot = columns_[mesh().point(dest)];
@@ -40,6 +40,7 @@ void ServiceSnapshot::installColumn(
     ++residentCount_;
     slot = std::move(column);
   }
+  return slot;
 }
 
 void ServiceSnapshot::dropColumn(NodeId dest) {
@@ -67,17 +68,6 @@ void ServiceSnapshot::replaceColumn(
   slot = std::move(column);
 }
 
-std::vector<const PackedRouteColumn*> ServiceSnapshot::columnsFor(
-    const std::vector<NodeId>& dests) const {
-  std::vector<const PackedRouteColumn*> out;
-  out.reserve(dests.size());
-  std::lock_guard<std::mutex> lock(columnMutex_);
-  for (NodeId dest : dests) {
-    out.push_back(std::as_const(columns_)[mesh().point(dest)].get());
-  }
-  return out;
-}
-
 std::vector<std::shared_ptr<const PackedRouteColumn>>
 ServiceSnapshot::pinColumns(const std::vector<NodeId>& dests) const {
   std::vector<std::shared_ptr<const PackedRouteColumn>> out;
@@ -101,16 +91,6 @@ std::vector<NodeId> ServiceSnapshot::presentColumns() const {
   // thus counter/patch determinism) wants ascending dest ids.
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::size_t ServiceSnapshot::compiledColumns() const {
-  std::size_t n = 0;
-  std::lock_guard<std::mutex> lock(columnMutex_);
-  std::as_const(columns_).forEachAllocated(
-      [&](Point, const std::shared_ptr<const PackedRouteColumn>& slot) {
-        n += (slot != nullptr);
-      });
-  return n;
 }
 
 ColumnEvictStats ServiceSnapshot::enforceColumnBudget(
@@ -142,9 +122,10 @@ ColumnEvictStats ServiceSnapshot::enforceColumnBudget(
       continue;
     }
     if (slot.use_count() > 1) {
-      // Pinned by an in-flight batch (pinColumns handle), or the slot's
-      // page was detached while a neighbor epoch still shares the
-      // column — either way nulling this slot would free nothing yet.
+      // Pinned by an in-flight batch (a pinColumns or installColumn
+      // handle), or the slot's page was detached while a neighbor epoch
+      // still shares the column — either way nulling this slot would
+      // free nothing yet.
       continue;
     }
     residentBytes_ -= slot->sizeBytes();

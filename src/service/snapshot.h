@@ -17,10 +17,11 @@
 // published snapshot's installed column CONTENT never changes — but under
 // a column byte budget (ServiceConfig::columnBudgetBytes) a slot may be
 // evicted back to null by enforceColumnBudget(), and the column
-// recompiles bit-identically on next demand. Serve paths therefore pin
-// owning handles via pinColumns() instead of borrowing raw pointers — an
-// evicted column stays alive for exactly as long as some batch still
-// chases it. See DESIGN.md section 14.
+// recompiles bit-identically on next demand. Every column handed out is
+// therefore an owning handle — pinColumns() for resident columns,
+// installColumn()'s return for fresh compiles — and the sweep skips
+// pinned slots, so an evicted column stays alive for exactly as long as
+// some batch still chases it. See DESIGN.md section 14.
 #pragma once
 
 #include <atomic>
@@ -107,10 +108,13 @@ class ServiceSnapshot {
   /// compiled. Thread-safe.
   std::shared_ptr<const PackedRouteColumn> column(NodeId dest) const;
 
-  /// Installs a compiled column; the first install wins (concurrent
-  /// compilers produce identical content, so dropping the loser is safe).
-  void installColumn(NodeId dest,
-                     std::shared_ptr<const PackedRouteColumn> column) const;
+  /// Installs a compiled column and returns the slot's resident column
+  /// under the same lock. The first install wins (concurrent compilers
+  /// produce identical content, so dropping the loser is safe); the
+  /// returned handle pins the winner, so no sweep can take it between
+  /// the install and the caller's chase.
+  std::shared_ptr<const PackedRouteColumn> installColumn(
+      NodeId dest, std::shared_ptr<const PackedRouteColumn> column) const;
 
   /// Writer-side, pre-publish only: removes an inherited column whose
   /// destination died with this epoch's event.
@@ -120,14 +124,6 @@ class ServiceSnapshot {
   /// inherited column (unlike installColumn, an existing slot LOSES).
   void replaceColumn(NodeId dest,
                      std::shared_ptr<const PackedRouteColumn> column);
-
-  /// Raw column pointers for `dests`, in order (null where missing),
-  /// resolved under one lock so a serve loop can run lock-free against
-  /// pointers pinned by the snapshot handle it holds. Only safe when no
-  /// column budget is active — eviction can null a slot mid-serve, so
-  /// budget-aware paths must use pinColumns() instead.
-  std::vector<const PackedRouteColumn*> columnsFor(
-      const std::vector<NodeId>& dests) const;
 
   /// Owning handles for `dests`, in order (null where missing), resolved
   /// under one lock. A pinned column survives eviction for as long as the
@@ -142,9 +138,6 @@ class ServiceSnapshot {
   /// walks to verify/drop/patch inherited columns. O(allocated pages),
   /// not O(mesh): absent pages are skipped wholesale.
   std::vector<NodeId> presentColumns() const;
-
-  /// Number of compiled columns right now.
-  std::size_t compiledColumns() const;
 
   /// Evicts columns until the resident footprint fits policy.budgetBytes,
   /// in CLOCK second-chance order from the persisted hand. Slots with the

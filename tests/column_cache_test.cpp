@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -223,6 +224,46 @@ TEST(ColumnCacheTest, BudgetHoldsUnderChurn) {
     added = !added;
   }
   EXPECT_GT(service.counters().columnsEvicted, 0u);
+}
+
+TEST(ColumnCacheTest, ConcurrentReadersUnderBudgetBelowOneColumn) {
+  // A one-byte budget makes every serve tail evict each column no batch
+  // still pins. Four readers serve the same pooled batches at once, so
+  // each one's sweeps race the others' compiles and chases: a batch must
+  // still chase exactly the column it compiled or pinned.
+  const Mesh2D mesh = Mesh2D::square(32);
+  Rng rng(7501);
+  const FaultSet faults = injectUniform(mesh, 60, rng);
+  constexpr std::size_t kReaders = 4;
+  constexpr std::size_t kBatches = 12;
+  std::vector<std::vector<Query>> batches;
+  RouteService unbounded(faults, cacheConfig("rb2", 0));
+  std::vector<BatchResult> expected;
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    batches.push_back(pooledBatch(mesh, faults, 48, 6, 7502 + b));
+    expected.push_back(unbounded.serve(batches[b], /*wantPaths=*/true));
+  }
+  RouteService bounded(faults, cacheConfig("rb2", 1));
+  std::vector<std::vector<BatchResult>> served(
+      kReaders, std::vector<BatchResult>(kBatches));
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (std::size_t b = 0; b < kBatches; ++b) {
+        served[r][b] = bounded.serve(batches[b], /*wantPaths=*/true);
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    for (std::size_t b = 0; b < kBatches; ++b) {
+      SCOPED_TRACE("reader " + std::to_string(r) + " batch " +
+                   std::to_string(b));
+      expectIdenticalResults(expected[b], served[r][b]);
+    }
+  }
+  EXPECT_GT(bounded.counters().columnsEvicted, 0u);
+  EXPECT_GT(bounded.counters().columnsRecompiled, 0u);
 }
 
 }  // namespace

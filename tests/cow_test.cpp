@@ -236,12 +236,12 @@ TEST(CowStorageTest, PublishedEpochsSharePagesWithPredecessor) {
 
   // The successor inherited the predecessor's compiled set (every column
   // present before is present, patched or dropped — never silently lost).
-  EXPECT_EQ(next->compiledColumns() +
+  EXPECT_EQ(next->residentColumnCount() +
                 (next->faults().isFaulty(toggle) &&
                          prev->column(mesh.id(toggle)) != nullptr
                      ? 1u
                      : 0u),
-            prev->compiledColumns());
+            prev->residentColumnCount());
 }
 
 TEST(CowStorageTest, PinnedEpochsServeBitIdenticallyAfterChurn) {

@@ -414,10 +414,11 @@ TEST(FleetTest, EventsRouteToOwnerAndHaloNeighbors) {
   cfg.halo = 2;
   ServiceFleet fleet(FaultSet(mesh), cfg);
   // Interior of shard 0: only shard 0's epoch moves.
-  fleet.applyAddFault({4, 4});
+  ASSERT_EQ(fleet.submitAddFault({4, 4}), SubmitResult::Accepted);
   // On the border column owned by shard 0 (x=15), far from the y cut:
   // replicates into shard 1's halo only, so covering = {0, 1}.
-  fleet.applyAddFault({15, 4});
+  ASSERT_EQ(fleet.submitAddFault({15, 4}), SubmitResult::Accepted);
+  ASSERT_TRUE(fleet.drainWriters());
   const FleetBatchResult r = fleet.serve({{{2, 2}, {3, 3}}}, false);
   EXPECT_EQ(r.shardEpochs[0], 2u);
   EXPECT_EQ(r.shardEpochs[1], 1u);
@@ -426,9 +427,9 @@ TEST(FleetTest, EventsRouteToOwnerAndHaloNeighbors) {
   // The replica landed at the right local cell in shard 1.
   EXPECT_TRUE(fleet.shard(1).snapshot()->faults().isFaulty(
       fleet.layout().toLocal(1, {15, 4})));
-  // Async submission reaches the same state.
-  fleet.submitRemoveFault({15, 4});
-  fleet.drainWriters();
+  // Removal routes to the same covering shards.
+  ASSERT_EQ(fleet.submitRemoveFault({15, 4}), SubmitResult::Accepted);
+  ASSERT_TRUE(fleet.drainWriters());
   EXPECT_FALSE(fleet.shard(1).snapshot()->faults().isFaulty(
       fleet.layout().toLocal(1, {15, 4})));
   EXPECT_EQ(fleet.shard(0).epoch(), 3u);

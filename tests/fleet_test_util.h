@@ -103,14 +103,6 @@ inline FaultSet injectInterior(const ShardLayout& layout, std::size_t count,
   return faults;
 }
 
-/// Knowledge models the key's routers consume (capturing everything for
-/// every key makes snapshot capture the dominant cost at 64x64).
-inline std::vector<InfoModel> captureFor(const std::string& key) {
-  if (key == "rb1") return {InfoModel::B1};
-  if (key.starts_with("rb3")) return {InfoModel::B3};
-  return {};
-}
-
 /// Keys whose labels are NOT functions of the local fault window: the
 /// safety-level relaxation propagates across the whole mesh, so a
 /// shard's labels legitimately differ from the full-mesh labels near
@@ -123,7 +115,6 @@ inline FleetConfig fleetConfig(const std::string& key, std::size_t grid) {
   FleetConfig cfg;
   cfg.service.routerKey = key;
   cfg.service.threads = 2;
-  cfg.service.captureKnowledge = captureFor(key);
   cfg.grid = grid;
   return cfg;
 }
@@ -132,7 +123,6 @@ inline ServiceConfig singleConfig(const std::string& key) {
   ServiceConfig cfg;
   cfg.routerKey = key;
   cfg.threads = 2;
-  cfg.captureKnowledge = captureFor(key);
   return cfg;
 }
 
@@ -320,16 +310,19 @@ inline std::size_t expectServePathsAgree(ServiceFleet& fleet,
   return diverged;
 }
 
-/// Flips p on the fleet (synchronous apply) and on the test-owned
-/// global fault set that mirrors it.
+/// Flips p on the fleet (submitted, then drained, so every covering
+/// shard has applied it on return) and on the test-owned global fault
+/// set that mirrors it.
 inline void toggleFault(ServiceFleet& fleet, FaultSet& faults, Point p) {
-  if (faults.isFaulty(p)) {
-    faults.remove(p);
-    fleet.applyRemoveFault(p);
-  } else {
+  const bool add = faults.isHealthy(p);
+  if (add) {
     faults.add(p);
-    fleet.applyAddFault(p);
+  } else {
+    faults.remove(p);
   }
+  ASSERT_EQ(add ? fleet.submitAddFault(p) : fleet.submitRemoveFault(p),
+            SubmitResult::Accepted);
+  ASSERT_TRUE(fleet.drainWriters());
 }
 
 }  // namespace fleettest

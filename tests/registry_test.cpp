@@ -6,6 +6,7 @@
 
 #include "fault/analysis.h"
 #include "fault/fault_set.h"
+#include "info/knowledge.h"
 #include "mesh/mesh.h"
 #include "route/registry.h"
 #include "route/validate.h"
@@ -46,6 +47,18 @@ TEST(RouterRegistryTest, ExpectedBuiltinKeysExist) {
         "rb3-full", "optimal", "bfs"}) {
     EXPECT_TRUE(reg.contains(key)) << key;
   }
+}
+
+TEST(RouterRegistryTest, EntriesDeclareTheKnowledgeTheirRoutersRead) {
+  const auto& reg = RouterRegistry::global();
+  using Models = std::vector<InfoModel>;
+  EXPECT_EQ(reg.at("rb1").knowledge, Models{InfoModel::B1});
+  for (const char* key : {"rb3", "rb3-contact", "rb3-full"}) {
+    EXPECT_EQ(reg.at(key).knowledge, Models{InfoModel::B3}) << key;
+  }
+  EXPECT_TRUE(reg.at("rb2").knowledge.empty());
+  // A table wrapper reads through its inner router.
+  EXPECT_EQ(reg.at("table:rb1").knowledge, Models{InfoModel::B1});
 }
 
 TEST(RouterRegistryTest, UnknownNameErrorsCleanly) {

@@ -411,7 +411,6 @@ TEST(ServiceTest, BatchedServeMatchesTableizedRouterForEveryKey) {
     ServiceConfig cfg;
     cfg.routerKey = key;
     cfg.threads = 2;
-    cfg.captureKnowledge = {InfoModel::B1, InfoModel::B3};
     RouteService service(faults, cfg);
     auto wrapped = RouterRegistry::global().create("table:" + key, ctx);
     auto* tableized = dynamic_cast<TableizedRouter*>(wrapped.get());
@@ -610,7 +609,7 @@ TEST(ServiceTest, EventsPatchOnlyChaseAffectedEntriesAndStayValid) {
   service.serve(queries);
   const auto before = service.counters();
   const std::size_t compiledBefore =
-      service.snapshot()->compiledColumns();
+      service.snapshot()->residentColumnCount();
   ASSERT_GT(compiledBefore, 0u);
 
   // One added fault: columns split into carried / patched / dropped, and

@@ -144,16 +144,15 @@ TEST(FleetChaos, QuiescentStateMatchesNeverFailedControlBitForBit) {
   for (const auto& ops : accepted) acceptedTotal += ops.size();
   EXPECT_EQ(c.eventsApplied, acceptedTotal);
 
-  // Control: the same accepted history applied to a fleet that never
-  // failed, through the synchronous channel.
+  // Control: the same accepted history replayed into a fleet that never
+  // failed, one event at a time — submit, then drain — so the control's
+  // bounded queues (queueCapacity 4) never reject a replayed event.
   ServiceFleet control(initial, chaosConfig());
   for (std::size_t k = 0; k < layout.shardCount(); ++k) {
     for (const auto& [p, add] : accepted[k]) {
-      if (add) {
-        control.applyAddFault(p);
-      } else {
-        control.applyRemoveFault(p);
-      }
+      ASSERT_EQ(add ? control.submitAddFault(p) : control.submitRemoveFault(p),
+                SubmitResult::Accepted);
+      ASSERT_TRUE(control.drainWriters(/*timeoutMs=*/120'000));
     }
   }
 

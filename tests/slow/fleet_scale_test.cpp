@@ -1,6 +1,7 @@
 // Slow fleet-scale suite (ctest label `slow`): the 1024x1024 grid-4
 // end-to-end run the PR-10 scaling work exists for. One wave structure,
-// two fleets over the same faults and synchronous churn:
+// two fleets over the same faults and the same churn (each event
+// submitted and drained before the next wave):
 //
 //  - a tight per-shard column budget (evictions guaranteed at this
 //    scale), vs
@@ -86,12 +87,10 @@ TEST(FleetScale, Grid4ChurnAt1024UnderBudget) {
     }
     validateAgainstPinnedEpochs(bounded.layout(), batch, br);
     const Point p = toggles[wave % toggles.size()];
-    if (added) {
-      bounded.applyRemoveFault(p);
-      unbounded.applyRemoveFault(p);
-    } else {
-      bounded.applyAddFault(p);
-      unbounded.applyAddFault(p);
+    for (ServiceFleet* fleet : {&bounded, &unbounded}) {
+      ASSERT_EQ(added ? fleet->submitRemoveFault(p) : fleet->submitAddFault(p),
+                SubmitResult::Accepted);
+      ASSERT_TRUE(fleet->drainWriters());
     }
     added = !added;
   }

@@ -201,8 +201,9 @@ TEST(FleetChurn, ConcurrentWritersAndReadersStayEpochConsistent) {
   }
 }
 
-TEST(FleetChurn, SyncAppliersUnderReaderLoadServeCurrentEpochs) {
-  // applyAddFault (synchronous channel) racing readers: snapshots are
+TEST(FleetChurn, SubmittedHaloEventsUnderReaderLoadServePinnedEpochs) {
+  // One writer submitting uniform cells (some replicate into halos, so
+  // one event lands on several shards) racing readers: snapshots are
   // immutable, so concurrently pinned batches stay internally
   // consistent at whatever epoch vector they caught.
   const Mesh2D mesh = Mesh2D::square(48);
@@ -221,7 +222,7 @@ TEST(FleetChurn, SyncAppliersUnderReaderLoadServeCurrentEpochs) {
   }
   std::thread writer([&] {
     for (const Point p : cells) {
-      fleet.applyAddFault(p);
+      EXPECT_EQ(fleet.submitAddFault(p), SubmitResult::Accepted);
       std::this_thread::yield();
     }
   });
@@ -237,6 +238,17 @@ TEST(FleetChurn, SyncAppliersUnderReaderLoadServeCurrentEpochs) {
   }
   writer.join();
   for (auto& r : readers) r.join();
+  // Every submitted event applies on each shard that covers its cell.
+  ASSERT_TRUE(fleet.drainWriters());
+  std::uint64_t replicas = 0;
+  for (const Point p : cells) {
+    for (const std::size_t k : layout.covering(p)) {
+      ++replicas;
+      EXPECT_TRUE(fleet.shardAppliedFaults(k).isFaulty(layout.toLocal(k, p)));
+    }
+  }
+  EXPECT_GT(replicas, cells.size());  // some events reached a halo too
+  EXPECT_EQ(fleet.counters().eventsApplied, replicas);
 }
 
 }  // namespace

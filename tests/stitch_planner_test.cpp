@@ -132,7 +132,8 @@ TEST(StitchPlanTest, PlanCacheInvalidationOnBorderFault) {
   // and the crossed borders rescan under the new epoch pair.
   const Point borderCell{31, 16};
   ASSERT_TRUE(faults.isHealthy(borderCell));
-  fleet.applyAddFault(borderCell);
+  ASSERT_EQ(fleet.submitAddFault(borderCell), SubmitResult::Accepted);
+  ASSERT_TRUE(fleet.drainWriters());
   const FleetBatchResult after = fleet.serve(batch, /*wantPaths=*/true);
   const FleetCounters invalidated = fleet.counters();
   EXPECT_GT(invalidated.planInvalidations, repeat.planInvalidations);
@@ -162,7 +163,8 @@ TEST(StitchPlanTest, BorderEpochBumpsOnlyOnRingEvents) {
   const Point interior{10, 10};
   ASSERT_TRUE(faults.isHealthy(interior));
   ASSERT_TRUE(fleettest::interiorCell(probe, interior, 3));
-  fleet.applyAddFault(interior);
+  ASSERT_EQ(fleet.submitAddFault(interior), SubmitResult::Accepted);
+  ASSERT_TRUE(fleet.drainWriters());
   fleet.serve(batch, /*wantPaths=*/true);
   const FleetCounters after = fleet.counters();
   EXPECT_EQ(after.borderBuilds, warm.borderBuilds);
