@@ -4,7 +4,7 @@
 // rates. The static rows measure steady-state serving; the dynamic rows
 // interleave add/remove fault events between batches, so their QPS
 // includes the epoch builds and entry patches the churn forces (and the
-// patch/carry counters show how little of the table each event touches).
+// patch counters show how little of each column an event recomputes).
 //
 //   ./service_qps --meshes 32,64 --threads 8 --churn 0,4
 //   ./service_qps --smoke              # seconds-fast CI configuration
@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
               << routerKey << ", " << queries << " queries x " << batches
               << " batches, " << destCount << " destinations, threads="
               << threads << "\n(compile = table build for the batch's "
-                            "destinations; patched/carried = per-event "
-                            "column fate under churn)\n\n";
+                            "destinations; patched = columns patched "
+                            "under churn)\n\n";
   }
 
   // Periodic JSONL metrics dump (inert unless --metrics-out AND
@@ -137,8 +137,7 @@ int main(int argc, char** argv) {
                                      "qps_disarmed", "overhead_pct"}
           : std::vector<std::string>{"mesh", "churn", "compile_ms",
                                      "table_qps", "naive_qps", "speedup",
-                                     "delivered", "patched", "carried",
-                                     "entries/ev"});
+                                     "delivered", "patched", "entries/ev"});
   for (std::size_t meshSize : meshes) {
     const Mesh2D mesh = Mesh2D::square(static_cast<Coord>(meshSize));
     Rng rng = Rng::forStream(seed, meshSize);
@@ -358,8 +357,6 @@ int main(int argc, char** argv) {
                2);
       row.cell(static_cast<std::int64_t>(after.columnsPatched -
                                          before.columnsPatched));
-      row.cell(static_cast<std::int64_t>(after.columnsCarried -
-                                         before.columnsCarried));
       row.cell(events == 0
                    ? 0.0
                    : static_cast<double>(after.entriesPatched -

@@ -25,8 +25,7 @@ PackedRouteColumn::PackedRouteColumn(const RouteColumn& dense,
       nibbles_((static_cast<std::size_t>(mesh.nodeCount()) + 1) / 2 +
                    kGatherPad,
                static_cast<std::uint8_t>(kNoRouteNibble | (kNoRouteNibble
-                                                           << 4))),
-      routedSources_(dense.routedSources()) {
+                                                           << 4))) {
   for (NodeId id = 0; id < nodeCount_; ++id) {
     const std::uint8_t hop = dense.next(id);
     setNibble(id, hop == RouteColumn::kNoRoute ? kNoRouteNibble : hop);
@@ -48,16 +47,9 @@ PackedRouteColumn PackedRouteColumn::patched(
   PackedRouteColumn out = *this;
   const Mesh2D& mesh = faults.mesh();
   for (NodeId id : cells) {
-    const std::uint8_t was = out.nibble(id);
-    if (was != kNoRouteNibble) --out.routedSources_;
     const std::uint8_t hop =
         firstHopByte(router, faults, mesh.point(id), dest_);
-    if (hop == RouteColumn::kNoRoute) {
-      out.setNibble(id, kNoRouteNibble);
-    } else {
-      out.setNibble(id, hop);
-      ++out.routedSources_;
-    }
+    out.setNibble(id, hop == RouteColumn::kNoRoute ? kNoRouteNibble : hop);
   }
   out.hopBound_ = out.deriveHopBound();
   return out;

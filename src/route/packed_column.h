@@ -73,9 +73,6 @@ class PackedRouteColumn {
   /// offset stays in bounds.
   const std::uint8_t* nibbleBytes() const { return nibbles_.data(); }
 
-  /// Number of sources with a stored hop (serving coverage).
-  std::size_t routedSources() const { return routedSources_; }
-
   /// Resident payload bytes (two 3-bit entries per byte plus the gather
   /// padding) — the bounded column cache's accounting unit.
   std::size_t sizeBytes() const { return nibbles_.size(); }
@@ -101,7 +98,6 @@ class PackedRouteColumn {
   Coord width_;
   NodeId nodeCount_;
   std::vector<std::uint8_t> nibbles_;
-  std::size_t routedSources_ = 0;
   std::uint32_t hopBound_ = 0;
 };
 

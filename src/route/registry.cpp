@@ -11,7 +11,6 @@
 #include "route/rb1.h"
 #include "route/rb2.h"
 #include "route/rb3.h"
-#include "route/route_table.h"
 #include "route/safety_vector.h"
 
 namespace meshrt {
@@ -94,10 +93,6 @@ void registerBuiltins(RouterRegistry& r) {
         [](const RouterContext& ctx) -> std::unique_ptr<Router> {
           return std::make_unique<OptimalRouter>(needFaults(ctx, "optimal"));
         });
-  r.add("bfs", "BFS", "alias of 'optimal': healthy-node BFS oracle",
-        [](const RouterContext& ctx) -> std::unique_ptr<Router> {
-          return std::make_unique<OptimalRouter>(needFaults(ctx, "bfs"));
-        });
 }
 
 }  // namespace
@@ -106,10 +101,6 @@ RouterRegistry& RouterRegistry::global() {
   static RouterRegistry* instance = [] {
     auto* r = new RouterRegistry();
     registerBuiltins(*r);
-    // Every built-in also gets a compiled-table variant ("table:rb2", ...)
-    // so benches and sweeps can race tables against direct routing by
-    // name alone.
-    registerTableizedRouters(*r);
     return r;
   }();
   return *instance;

@@ -1,7 +1,6 @@
 #include "route/route_table.h"
 
 #include <cassert>
-#include <stdexcept>
 #include <utility>
 
 namespace meshrt {
@@ -28,13 +27,8 @@ std::uint8_t firstHopByte(Router& router, const FaultSet& faults, Point s,
 
 void RouteColumn::recomputeEntry(Router& router, const FaultSet& faults,
                                  Point s) {
-  const NodeId id = faults.mesh().id(s);
-  auto& slot = next_[static_cast<std::size_t>(id)];
-  if (slot != kNoRoute) {
-    --routedSources_;
-  }
-  slot = firstHopByte(router, faults, s, dest_);
-  if (slot != kNoRoute) ++routedSources_;
+  next_[static_cast<std::size_t>(faults.mesh().id(s))] =
+      firstHopByte(router, faults, s, dest_);
 }
 
 RouteColumn RouteColumn::patched(Router& router, const FaultSet& faults,
@@ -62,16 +56,13 @@ TableizedRouter::TableizedRouter(std::unique_ptr<Router> inner,
                                  const FaultSet& faults)
     : inner_(std::move(inner)),
       faults_(&faults),
-      columns_(static_cast<std::size_t>(faults.mesh().nodeCount())) {
-  name_ = "table:" + std::string(inner_->name());
-}
+      columns_(static_cast<std::size_t>(faults.mesh().nodeCount())) {}
 
 const RouteColumn& TableizedRouter::column(Point d) {
   auto& slot = columns_[static_cast<std::size_t>(faults_->mesh().id(d))];
   if (!slot) {
     slot = std::make_unique<const RouteColumn>(
         compileRouteColumn(*inner_, *faults_, d));
-    ++compiled_;
   }
   return *slot;
 }
@@ -93,39 +84,6 @@ ServedRoute TableizedRouter::serve(Point s, Point d, bool wantPath) {
   const Mesh2D& mesh = faults_->mesh();
   return chaseColumn(column(d), mesh, s,
                      static_cast<std::size_t>(mesh.nodeCount()), wantPath);
-}
-
-RouteResult TableizedRouter::route(Point s, Point d) {
-  ServedRoute served = serve(s, d, /*wantPath=*/true);
-  RouteResult res;
-  res.delivered = served.delivered();
-  res.path = std::move(served.path);
-  return res;
-}
-
-void registerTableizedRouters(RouterRegistry& registry) {
-  // Snapshot the keys first: add() during iteration over entries() would
-  // wrap the wrappers.
-  const std::vector<std::string> keys = registry.keys();
-  for (const std::string& key : keys) {
-    if (key.starts_with("table:")) continue;
-    const RouterRegistry::Entry& entry = registry.at(key);
-    // Capture the inner factory itself (not a global() lookup) so
-    // wrappers registered on a custom registry keep working there. The
-    // wrapped router reads the inner key's knowledge, so it declares it.
-    registry.add(
-        "table:" + key, entry.display + "·tbl",
-        "compiled next-hop table over '" + key + "' (lazy per-destination)",
-        [key, inner = entry.factory](
-            const RouterContext& ctx) -> std::unique_ptr<Router> {
-          if (ctx.faults == nullptr) {
-            throw std::invalid_argument("router 'table:" + key +
-                                        "' requires RouterContext.faults");
-          }
-          return std::make_unique<TableizedRouter>(inner(ctx), *ctx.faults);
-        },
-        entry.knowledge);
-  }
 }
 
 }  // namespace meshrt

@@ -21,18 +21,22 @@
 // chaseUpstream() finds exactly those entries by reverse reachability
 // from the footprint over the column's hop graph — output-sensitive
 // O(|affected| + |footprint|), the table layer's half of the O(delta)
-// epoch-publishing contract. See DESIGN.md sections 7.2 and 9.
+// epoch-publishing contract. The footprint always holds the toggled cell
+// itself, so every live column gets a patched successor on every event.
+// See DESIGN.md sections 7.2 and 9.
+//
+// TableizedRouter, at the bottom, is the tests' frozen-fault reference
+// for the service's compiled columns; nothing in production serves
+// through it.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "fault/fault_set.h"
-#include "route/registry.h"
 #include "route/router.h"
 
 namespace meshrt {
@@ -95,13 +99,6 @@ class RouteColumn {
     return next_[static_cast<std::size_t>(id)];
   }
 
-  /// Number of sources with a stored hop (serving coverage).
-  std::size_t routedSources() const { return routedSources_; }
-
-  /// Resident payload bytes (one hop byte per node) — what the service's
-  /// bounded column cache accounts against its budget.
-  std::size_t sizeBytes() const { return next_.size(); }
-
   /// Copy with the entries of `cells` recomputed as fresh first hops of
   /// `router` (which must read the post-delta analysis); every other
   /// entry is carried verbatim. The route service patches exactly
@@ -113,12 +110,11 @@ class RouteColumn {
   friend RouteColumn compileRouteColumn(Router& router,
                                         const FaultSet& faults, Point dest);
 
-  /// (Re)computes one entry from a fresh route; keeps routedSources_.
+  /// (Re)computes one entry from a fresh first hop.
   void recomputeEntry(Router& router, const FaultSet& faults, Point s);
 
   Point dest_;
   std::vector<std::uint8_t> next_;
-  std::size_t routedSources_ = 0;
 };
 
 /// Compiles the column for `dest`: one router.firstHop(u, dest) per
@@ -248,46 +244,26 @@ std::vector<NodeId> chaseUpstream(const Column& column, const Mesh2D& mesh,
   return out;
 }
 
-/// Router adapter serving from lazily compiled columns: the registry
-/// wrapper behind the "table:<key>" keys, and the single-threaded
-/// reference for the route service's sharded compiles. Columns compile on
-/// first query per destination and are cached for the router's lifetime —
-/// the context must stay frozen (no fault churn); the service layers
-/// epoch snapshots on top for the dynamic case. The cache is a dense
-/// dest-id-indexed slot array, so the serve path costs one indexed load
-/// to find the column and one per chase step — no hashing anywhere.
-class TableizedRouter : public Router {
+/// The tests' single-threaded table reference: serves (s, d) from a
+/// column of `inner` compiled on first query per destination and cached
+/// for the object's lifetime, so the fault set must stay frozen (no
+/// churn). The route service and fleet differentials compare their
+/// sharded, epoch-snapshotted columns against it at epoch 0. The cache is
+/// a dense dest-id-indexed slot array.
+class TableizedRouter {
  public:
   TableizedRouter(std::unique_ptr<Router> inner, const FaultSet& faults);
 
-  std::string_view name() const override { return name_; }
-
-  /// Chases the compiled column; RouteResult.delivered mirrors
-  /// ServedRoute::delivered() and the path is the chase path (the
-  /// attempted prefix on failure), like any other router.
-  RouteResult route(Point s, Point d) override;
-
-  /// The served form, with the failure reason preserved.
+  /// Chases the compiled column, with the failure reason preserved.
   ServedRoute serve(Point s, Point d, bool wantPath = true);
-
-  std::size_t columnsCompiled() const { return compiled_; }
 
  private:
   const RouteColumn& column(Point d);
 
   std::unique_ptr<Router> inner_;
   const FaultSet* faults_;
-  std::string name_;
   /// Dest-id-indexed slots, null until first queried.
   std::vector<std::unique_ptr<const RouteColumn>> columns_;
-  std::size_t compiled_ = 0;
 };
-
-/// Registers "table:<key>" wrappers for every currently registered key on
-/// `registry`, so any router can be compiled and served from tables by
-/// name (benches: --routers table:rb2). Called once for the global
-/// registry at static init; call manually after registering custom
-/// routers if you want wrapped variants of those too.
-void registerTableizedRouters(RouterRegistry& registry);
 
 }  // namespace meshrt

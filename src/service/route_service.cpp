@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
 #include "route/batch_chase.h"
 
@@ -93,18 +92,11 @@ RouteService::RouteService(const FaultSet& initial, ServiceConfig cfg)
       model_(initial),
       cachePolicy_(cfg_.columnBudgetBytes, model_.mesh().nodeCount()),
       pool_(cfg_.threads, servicePoolTelemetry(cfg_.telemetry)) {
-  if (cfg_.routerKey.starts_with("table:")) {
-    throw std::invalid_argument(
-        "RouteService compiles tables itself; pass the inner key instead "
-        "of '" +
-        cfg_.routerKey + "'");
-  }
   // at() throws on an unknown key.
   const std::vector<InfoModel> knowledgeModels =
       RouterRegistry::global().at(cfg_.routerKey).knowledge;
   MetricsRegistry& reg = cfg_.telemetry.resolve();
   columnsCompiled_ = reg.counter("service.columns_compiled");
-  columnsCarried_ = reg.counter("service.columns_carried");
   columnsPatched_ = reg.counter("service.columns_patched");
   entriesPatched_ = reg.counter("service.entries_patched");
   columnsDropped_ = reg.counter("service.columns_dropped");
@@ -175,8 +167,8 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   // can fail — other callers' errors stay in their own groups), model_ is
   // already ahead of the published snapshot, and the next successful
   // publish must migrate columns against the union of every unpublished
-  // footprint or carried columns could keep routing through the lost
-  // event's fault.
+  // footprint, or entries whose chases cross the lost event's cells would
+  // never be recomputed.
   pendingChanged_.insert(pendingChanged_.end(), event.changedWorld.begin(),
                          event.changedWorld.end());
   pendingChanged_.push_back(event.fault);
@@ -201,9 +193,9 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   TraceSpan columnPatchSpan(publishColumnPatchNs_.get());
   // Migrate inherited columns under the delta rule (see header). The
   // masked set holds every label-changed cell of every event since the
-  // last publish (which always includes the toggled nodes): an entry
-  // whose chase trajectory misses it cannot route into any new fault, so
-  // its bytes stay correct verbatim and the inherited column stands.
+  // last publish, the toggled nodes included; an entry whose chase
+  // trajectory misses it cannot route into any new fault, so its byte
+  // stays correct verbatim.
   std::vector<NodeId> masked;
   masked.reserve(pendingChanged_.size());
   for (Point p : pendingChanged_) masked.push_back(mesh().id(p));
@@ -213,63 +205,34 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   const std::vector<NodeId> present = next->presentColumns();
   std::vector<std::shared_ptr<const PackedRouteColumn>> inherited =
       next->pinColumns(present);
-  std::atomic<std::uint64_t> carried{0};
+  std::atomic<std::uint64_t> dropped{0};
   std::atomic<std::uint64_t> entries{0};
   ServiceSnapshot& snap = *next;
-
-  // Phase 1 (router-free): classify every inherited column — stand (no
-  // chase crosses the masked set), drop (destination died), or collect
-  // its upstream patch set. chaseUpstream is reverse BFS from the masked
-  // cells, so the phase costs O(present x delta), not O(present x mesh).
-  struct PatchWork {
-    NodeId id = kInvalidNode;
-    bool drop = false;
-    /// The inherited column, kept alive by its pin in `inherited`.
-    const PackedRouteColumn* column = nullptr;
-    std::vector<NodeId> cells;
-  };
-  std::vector<PatchWork> work(present.size());
-  parallelFor(pool_, present.size(), [&](std::size_t k) {
+  // One pass, one router per chunk job: a column whose destination died
+  // is dropped; every other is REPLACED by a successor with its upstream
+  // set recomputed. That set always holds the masked cells themselves, so
+  // no live column stands untouched. chaseUpstream is reverse BFS from
+  // the masked cells: O(delta) per column, not O(mesh).
+  forEachWithChunkRouter(snap, present.size(), [&](Router& router,
+                                                   std::size_t k) {
     const NodeId id = present[k];
     if (snap.faults().isFaulty(snap.mesh().point(id))) {
-      work[k].id = id;
-      work[k].drop = true;
+      snap.dropColumn(id);
+      dropped.fetch_add(1);
       return;
     }
-    auto cells = chaseUpstream(*inherited[k], snap.mesh(), masked);
-    if (cells.empty()) {
-      carried.fetch_add(1);  // the inherited column stands as-is
-      return;
-    }
+    const std::vector<NodeId> cells =
+        chaseUpstream(*inherited[k], snap.mesh(), masked);
     entries.fetch_add(cells.size());
-    work[k] = PatchWork{id, false, inherited[k].get(), std::move(cells)};
-  });
-
-  std::uint64_t dropped = 0;
-  for (const PatchWork& w : work) {
-    if (w.drop) {
-      snap.dropColumn(w.id);
-      ++dropped;
-    }
-  }
-  std::erase_if(work, [](const PatchWork& w) {
-    return w.id == kInvalidNode || w.drop;
-  });
-
-  // Phase 2: patch the affected columns, one router per chunk job. The
-  // patched successor REPLACES the inherited column.
-  forEachWithChunkRouter(snap, work.size(), [&](Router& router,
-                                                std::size_t i) {
-    snap.replaceColumn(work[i].id, std::make_shared<const PackedRouteColumn>(
-                                       work[i].column->patched(
-                                           router, snap.faults(),
-                                           work[i].cells)));
+    snap.replaceColumn(id, std::make_shared<const PackedRouteColumn>(
+                               inherited[k]->patched(router, snap.faults(),
+                                                     cells)));
   });
   columnPatchSpan.stop();
-  if (carried.load() != 0) columnsCarried_->add(carried.load());
-  if (!work.empty()) columnsPatched_->add(work.size());
+  const std::uint64_t drops = dropped.load();
+  if (present.size() != drops) columnsPatched_->add(present.size() - drops);
   if (entries.load() != 0) entriesPatched_->add(entries.load());
-  if (dropped != 0) columnsDropped_->add(dropped);
+  if (drops != 0) columnsDropped_->add(drops);
 
   // Budget the successor BEFORE it publishes: patched columns are brand
   // new bytes (their pages detached from the predecessor), so an epoch
@@ -550,7 +513,6 @@ void RouteService::precompileAll() {
 ServiceCounters RouteService::counters() const {
   ServiceCounters c;
   c.columnsCompiled = columnsCompiled_->value();
-  c.columnsCarried = columnsCarried_->value();
   c.columnsPatched = columnsPatched_->value();
   c.entriesPatched = entriesPatched_->value();
   c.columnsDropped = columnsDropped_->value();

@@ -55,8 +55,7 @@ namespace meshrt {
 enum class ColumnEncoding : std::uint8_t { Packed };
 
 struct ServiceConfig {
-  /// Registry key of the router the tables compile ("rb2", "table:..."
-  /// keys excluded — the service IS the table layer).
+  /// Registry key of the router the tables compile.
   std::string routerKey = "rb2";
   /// Worker threads for column compiles and batched serves (0 = cores).
   std::size_t threads = 0;
@@ -104,9 +103,6 @@ struct BatchResult {
 struct ServiceCounters {
   /// Full column compiles (mesh-many routes each).
   std::uint64_t columnsCompiled = 0;
-  /// Columns shared into a new epoch untouched (no chase crossed the
-  /// event's footprint).
-  std::uint64_t columnsCarried = 0;
   /// Columns copied with only the affected entries recomputed.
   std::uint64_t columnsPatched = 0;
   /// Entries recomputed across all patches (the per-event work unit).
@@ -154,11 +150,12 @@ class RouteService {
   /// Applies one fault event through the incremental labeler and
   /// publishes the next epoch. The new snapshot inherits the previous
   /// epoch's column table by COW page sharing; inherited columns then
-  /// migrate by the delta rule: a column stands untouched when no chase
-  /// in it crosses the event's label-change footprint, is replaced by an
-  /// entry-wise patched successor when some do (chaseUpstream), and is
-  /// dropped when its destination died. No-op toggles publish nothing.
-  /// Returns the epoch current after the call.
+  /// migrate in one pool pass by the delta rule: a column whose
+  /// destination died is dropped, and every other is replaced by a
+  /// successor with the entries whose chases cross the event's
+  /// label-change footprint recomputed (chaseUpstream). The footprint
+  /// holds the toggled cell, so every live column is patched. No-op
+  /// toggles publish nothing. Returns the epoch current after the call.
   std::uint64_t applyAddFault(Point p);
   std::uint64_t applyRemoveFault(Point p);
 
@@ -253,7 +250,6 @@ class RouteService {
   // ("serve.*" / "publish.*") are null when cfg_.telemetry.enabled is
   // off — TraceSpan then skips the clock entirely.
   std::shared_ptr<Counter> columnsCompiled_;
-  std::shared_ptr<Counter> columnsCarried_;
   std::shared_ptr<Counter> columnsPatched_;
   std::shared_ptr<Counter> entriesPatched_;
   std::shared_ptr<Counter> columnsDropped_;

@@ -35,7 +35,6 @@
 #include "fleet_test_util.h"
 #include "route/validate.h"
 #include "service/fleet.h"
-#include "test_util.h"
 
 namespace meshrt {
 namespace {
@@ -321,18 +320,18 @@ TEST(FleetSupervision, ThrowingShardServeFailsOnlyItsQueries) {
 TEST(FleetSupervision, ThrowingAppliersCannotPoisonFleetReaders) {
   // Fleet-level port of ServiceTest.ThrowingWriterCannotPoisonReaders:
   // every shard's applier fails every apply (fleet.applier.throw at
-  // p=1) while the poison router is armed, so the fleet cycles through
+  // p=1) while every compile and patch job fails too
+  // (service.compile.fail at p=1), so the fleet cycles through
   // quarantine -> rebuild -> replay -> requarantine the whole window (a
-  // rebuilt shard's FIRST compile hits the poison too). The contract
-  // under test: no failure ever escapes to a reader as an exception —
-  // a poisoned compile surfaces as a flagged per-query error verdict —
-  // and every UNFLAGGED query serves the reference answer bit-for-bit.
-  // Disarmed, the supervisor heals every shard and the events land.
+  // rebuilt shard's FIRST compile fails too). The contract under test:
+  // no failure ever escapes to a reader as an exception — a failed
+  // compile surfaces as a flagged per-query error verdict — and every
+  // UNFLAGGED query serves the reference answer bit-for-bit. Disarmed,
+  // the supervisor heals every shard and the events land.
   FailpointArmScope scope;
-  testutil::ensurePoisonRouterRegistered();
   const Mesh2D mesh = Mesh2D::square(32);
   FleetConfig cfg = supervisedConfig();
-  cfg.service.routerKey = "poison-when-armed";
+  cfg.service.routerKey = "rb2";
   ServiceFleet fleet(FaultSet(mesh), cfg);
   const auto batch = pooledBatch(mesh, 60, 8, 91);
   const FleetBatchResult reference = fleet.serve(batch, /*wantPaths=*/true);
@@ -341,7 +340,7 @@ TEST(FleetSupervision, ThrowingAppliersCannotPoisonFleetReaders) {
   const std::vector<Point> toggles{{4, 4}, {27, 4}, {4, 27}, {27, 27}};
   std::atomic<std::uint64_t> readerErrors{0};
   {
-    testutil::PoisonScope armed;
+    FailpointRegistry::global().point("service.compile.fail").arm({});
     FailpointRegistry::global().point("fleet.applier.throw").arm({});
     std::vector<std::thread> readers;
     for (int t = 0; t < 2; ++t) {
@@ -350,7 +349,7 @@ TEST(FleetSupervision, ThrowingAppliersCannotPoisonFleetReaders) {
           try {
             const FleetBatchResult r = fleet.serve(batch, /*wantPaths=*/true);
             for (std::size_t i = 0; i < batch.size(); ++i) {
-              // A rebuilt shard's poisoned compile fails its queries
+              // A rebuilt shard's failed compile fails its queries
               // flagged; anything NOT flagged must be the reference.
               if ((r.flags[i] & kFleetFlagError) != 0) continue;
               if (r.status[i] != reference.status[i] ||
@@ -375,6 +374,7 @@ TEST(FleetSupervision, ThrowingAppliersCannotPoisonFleetReaders) {
     }
     for (auto& r : readers) r.join();
     FailpointRegistry::global().point("fleet.applier.throw").disarm();
+    FailpointRegistry::global().point("service.compile.fail").disarm();
   }
   EXPECT_EQ(readerErrors.load(), 0u);
   EXPECT_GE(fleet.counters().quarantines, 4u);

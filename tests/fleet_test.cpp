@@ -81,13 +81,13 @@ TEST(FleetDifferential, UnrestrictedFaultsCertifiedShardsBitForBit) {
                            /*allCertified=*/false);
 }
 
-// The name is historical: the dense-vs-packed comparison is now the
-// epoch-0 TableizedRouter reference inside expectServePathsAgree, which
-// also pins the lockstep engine to the scalar chases under churn.
-TEST(FleetDifferential, EncodingsProduceIdenticalFleetResults) {
+// The fleet's two serve modes (lockstep status/hops and per-query
+// paths) agree under churn, and match the epoch-0 TableizedRouter
+// reference inside expectServePathsAgree.
+TEST(FleetDifferential, ServeModesAgreeThroughTheFleet) {
   const Mesh2D mesh = Mesh2D::square(32);
-  // ~15 intra-shard queries per shard: every shard sub-batch is past
-  // the inline limit, so the lockstep and path serves really run.
+  // 240 queries over 12 destinations: each shard's sub-batch chases
+  // several multi-query destination groups in both serve modes.
   const auto batch = pooledBatch(mesh, 240, 12, 313);
   for (const std::string key : {"rb2", "ecube"}) {
     SCOPED_TRACE(key);

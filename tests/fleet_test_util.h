@@ -227,8 +227,8 @@ inline void validateAgainstPinnedEpochs(const ShardLayout& layout,
 /// writer may run concurrently). The batch served without paths
 /// (intra-shard sub-batches on the lockstep engine, hop-bounded segment
 /// chases), with paths (nodeCount-bounded scalar chases) and one query
-/// at a time (every shard serve on the <= 8-query inline path) must
-/// agree on status and hops, and the path-carrying serves on paths.
+/// at a time (one-query shard serves) must agree on status and hops,
+/// and the path-carrying serves on paths.
 /// Delivered paths must be valid in `faults` (the test-owned global
 /// state) and under the pinned epochs. With `reference` set (epoch 0),
 /// every intra-shard answer and every stitched segment must equal the

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "fault/analysis.h"
 #include "fault/fault_set.h"
@@ -41,12 +43,13 @@ TEST(RouterRegistryTest, EveryBuiltinRoundTrips) {
 }
 
 TEST(RouterRegistryTest, ExpectedBuiltinKeysExist) {
-  const auto& reg = RouterRegistry::global();
-  for (const char* key :
-       {"ecube", "safety", "rb1", "rb2", "rb2-literal", "rb3", "rb3-contact",
-        "rb3-full", "optimal", "bfs"}) {
-    EXPECT_TRUE(reg.contains(key)) << key;
-  }
+  // Exactly the built-ins, once each, in registration order: an alias or
+  // a wrapper fan-out would make every "for each key" suite run a router
+  // twice.
+  const std::vector<std::string> expected{
+      "ecube", "safety",      "rb1",      "rb2",    "rb2-literal",
+      "rb3",   "rb3-contact", "rb3-full", "optimal"};
+  EXPECT_EQ(RouterRegistry::global().keys(), expected);
 }
 
 TEST(RouterRegistryTest, EntriesDeclareTheKnowledgeTheirRoutersRead) {
@@ -57,8 +60,6 @@ TEST(RouterRegistryTest, EntriesDeclareTheKnowledgeTheirRoutersRead) {
     EXPECT_EQ(reg.at(key).knowledge, Models{InfoModel::B3}) << key;
   }
   EXPECT_TRUE(reg.at("rb2").knowledge.empty());
-  // A table wrapper reads through its inner router.
-  EXPECT_EQ(reg.at("table:rb1").knowledge, Models{InfoModel::B1});
 }
 
 TEST(RouterRegistryTest, UnknownNameErrorsCleanly) {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/epoch.h"
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "fault/injectors.h"
 #include "route/planner.h"
@@ -31,7 +32,6 @@
 #include "route/route_table.h"
 #include "route/validate.h"
 #include "service/route_service.h"
-#include "test_util.h"
 
 namespace meshrt {
 namespace {
@@ -164,16 +164,13 @@ TEST(RouteTableTest, TableServedMatchesHopReferenceForEveryRegistryKey) {
     const RouterContext ctx{&faults, &fa};
     const auto batch = randomBatch(mesh, 90, 77 + cfgSeed);
     for (const auto& key : RouterRegistry::global().keys()) {
-      if (key.starts_with("table:")) continue;
       SCOPED_TRACE(key + " cfg " + std::to_string(cfgSeed));
       const auto direct = RouterRegistry::global().create(key, ctx);
-      auto wrapped =
-          RouterRegistry::global().create("table:" + key, ctx);
-      auto* tableized = dynamic_cast<TableizedRouter*>(wrapped.get());
-      ASSERT_NE(tableized, nullptr);
+      TableizedRouter tableized(RouterRegistry::global().create(key, ctx),
+                                faults);
       for (const Query& q : batch) {
         const ServedRoute ref = hopReference(*direct, faults, q.s, q.d);
-        const ServedRoute served = tableized->serve(q.s, q.d);
+        const ServedRoute served = tableized.serve(q.s, q.d);
         expectSameRoute(served, ref);
       }
     }
@@ -352,13 +349,12 @@ TEST(RouteTableTest, BfsOracleTablePreservesExactRouterPaths) {
   const FaultAnalysis fa(faults);
   const RouterContext ctx{&faults, &fa};
   const auto direct = RouterRegistry::global().create("optimal", ctx);
-  auto wrapped = RouterRegistry::global().create("table:optimal", ctx);
-  auto* tableized = dynamic_cast<TableizedRouter*>(wrapped.get());
-  ASSERT_NE(tableized, nullptr);
+  TableizedRouter tableized(RouterRegistry::global().create("optimal", ctx),
+                            faults);
   for (const Query& q : randomBatch(mesh, 120, 9)) {
     if (faults.isFaulty(q.s) || faults.isFaulty(q.d)) continue;
     const RouteResult res = direct->route(q.s, q.d);
-    const ServedRoute served = tableized->serve(q.s, q.d);
+    const ServedRoute served = tableized.serve(q.s, q.d);
     ASSERT_EQ(served.delivered(), res.delivered);
     if (res.delivered) {
       EXPECT_EQ(served.path, res.path);
@@ -406,21 +402,19 @@ TEST(ServiceTest, BatchedServeMatchesTableizedRouterForEveryKey) {
   const auto batch = randomBatch(mesh, 80, 13);
   std::vector<Query> queries = batch;
   for (const auto& key : RouterRegistry::global().keys()) {
-    if (key.starts_with("table:")) continue;
     SCOPED_TRACE(key);
     ServiceConfig cfg;
     cfg.routerKey = key;
     cfg.threads = 2;
     RouteService service(faults, cfg);
-    auto wrapped = RouterRegistry::global().create("table:" + key, ctx);
-    auto* tableized = dynamic_cast<TableizedRouter*>(wrapped.get());
-    ASSERT_NE(tableized, nullptr);
+    TableizedRouter tableized(RouterRegistry::global().create(key, ctx),
+                              faults);
     const BatchResult result = service.serve(queries, /*wantPaths=*/true);
     EXPECT_EQ(result.epoch, 0u);
     ASSERT_EQ(result.size(), queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       expectSameRoute(result, i,
-                      tableized->serve(queries[i].s, queries[i].d));
+                      tableized.serve(queries[i].s, queries[i].d));
     }
   }
 }
@@ -612,18 +606,16 @@ TEST(ServiceTest, EventsPatchOnlyChaseAffectedEntriesAndStayValid) {
       service.snapshot()->residentColumnCount();
   ASSERT_GT(compiledBefore, 0u);
 
-  // One added fault: columns split into carried / patched / dropped, and
-  // the patch work is entries, not whole columns.
+  // One added fault: every column is patched or dropped, and the patch
+  // work is entries, not whole columns.
   Point toggle{12, 12};
   while (service.snapshot()->faults().isFaulty(toggle)) toggle.x += 1;
   const std::uint64_t epoch = service.applyAddFault(toggle);
   EXPECT_EQ(epoch, 1u);
   const auto after = service.counters();
   EXPECT_EQ(after.columnsCompiled, before.columnsCompiled);
-  EXPECT_EQ(after.columnsCarried + after.columnsPatched +
-                after.columnsDropped -
-                (before.columnsCarried + before.columnsPatched +
-                 before.columnsDropped),
+  EXPECT_EQ(after.columnsPatched + after.columnsDropped -
+                (before.columnsPatched + before.columnsDropped),
             compiledBefore);
   const std::uint64_t patchedEntries =
       after.entriesPatched - before.entriesPatched;
@@ -748,27 +740,23 @@ TEST(ServiceTest, SnapshotConsistencyUnderConcurrentChurn) {
 
 // ------------------------------------------- per-group exception scoping
 
-using testutil::ensurePoisonRouterRegistered;
-using testutil::PoisonScope;
-
 TEST(ServiceTest, ThrowingWriterCannotPoisonReaders) {
   // Regression for the per-group exception contract: the writer's patch
-  // jobs throw (router construction fails while armed), which must
-  // surface ONLY on the writer's applyAddFault — concurrently serving
-  // readers share the same pool and must neither throw nor stall. Under
-  // the pre-TaskGroup global-barrier pool, the writer's exception could
-  // be rethrown from a reader's wait() instead.
-  ensurePoisonRouterRegistered();
+  // jobs throw ("service.compile.fail" fires in every job while armed),
+  // which must surface ONLY on the writer's applyAddFault — concurrently
+  // serving readers share the same pool and must neither throw nor
+  // stall. Under the pre-TaskGroup global-barrier pool, the writer's
+  // exception could be rethrown from a reader's wait() instead.
   const Mesh2D mesh = Mesh2D::square(16);
   Rng rng(91);
   const FaultSet initial = injectUniform(mesh, 24, rng);
   ServiceConfig cfg;
-  cfg.routerKey = "poison-when-armed";
+  cfg.routerKey = "rb2";
   cfg.threads = 2;
   RouteService service(initial, cfg);
 
   // Compile the batch's columns while disarmed; armed readers then serve
-  // pure table chases (no router construction on their path).
+  // pure table chases (no compile job on their path).
   const auto queries = randomBatch(mesh, 120, 93);
   const BatchResult reference = service.serve(queries, /*wantPaths=*/true);
 
@@ -779,7 +767,8 @@ TEST(ServiceTest, ThrowingWriterCannotPoisonReaders) {
   std::uint64_t writerAttempts = 0;
   std::vector<Point> toggled;
   {
-    PoisonScope armed;
+    FailpointArmScope armed;
+    FailpointRegistry::global().point("service.compile.fail").arm({});
     std::vector<std::thread> readers;
     for (int t = 0; t < 2; ++t) {
       readers.emplace_back([&] {
@@ -800,7 +789,7 @@ TEST(ServiceTest, ThrowingWriterCannotPoisonReaders) {
       });
     }
     // The writer throws for as long as the readers serve (capped by the
-    // supply of fresh points): the poisoned waits overlap the reader
+    // supply of fresh points): the failing waits overlap the reader
     // waits on the shared pool. The writer-side model runs ahead of the
     // never-published epoch 0 after each failed event, so avoid
     // re-toggling an already-added point — that would be a no-op instead
@@ -815,7 +804,7 @@ TEST(ServiceTest, ThrowingWriterCannotPoisonReaders) {
       ++writerAttempts;
       try {
         service.applyAddFault(p);
-      } catch (const std::runtime_error&) {
+      } catch (const FailpointError&) {
         ++writerFailures;
       }
       std::this_thread::yield();
@@ -823,8 +812,8 @@ TEST(ServiceTest, ThrowingWriterCannotPoisonReaders) {
     for (auto& r : readers) r.join();
   }
 
-  // Every armed event needs patch routers (the toggled node's own entry
-  // is always in the patch set), so every attempt must have failed …
+  // Every armed event runs migration jobs over the live epoch-0 columns,
+  // so every attempt must have failed …
   EXPECT_GE(writerAttempts, 1u);
   EXPECT_EQ(writerFailures, writerAttempts);
   EXPECT_EQ(service.epoch(), 0u);
@@ -848,6 +837,105 @@ TEST(ServiceTest, ThrowingWriterCannotPoisonReaders) {
     EXPECT_TRUE(isValidPath(snap->faults(), queries[i].s, queries[i].d,
                             after.paths[i]));
   }
+}
+
+TEST(ServiceTest, ServeCompileFailureStaysWithItsCaller) {
+  // A compile job that throws inside a serve fails that serve alone: a
+  // concurrent reader of resident columns keeps its answers, every
+  // column the serve's other jobs installed is whole, and the next serve
+  // answers as if nothing had failed.
+  FailpointArmScope scope;
+  const Mesh2D mesh = Mesh2D::square(32);
+  Rng rng(131);
+  const FaultSet faults = injectUniform(mesh, 102, rng);
+  ServiceConfig cfg;
+  cfg.routerKey = "rb2";
+  cfg.threads = 2;
+  RouteService service(faults, cfg);
+
+  // 16 destinations with 24 queries each; the first half compile up
+  // front, so the full batch must compile the other half.
+  Rng destRng(137);
+  std::vector<Point> dests;
+  while (dests.size() < 16) {
+    const Point d = randomHealthy(faults, destRng);
+    if (std::find(dests.begin(), dests.end(), d) == dests.end()) {
+      dests.push_back(d);
+    }
+  }
+  Rng srcRng(139);
+  std::vector<Query> batch;
+  std::vector<Query> resident;
+  for (std::size_t k = 0; k < dests.size(); ++k) {
+    for (int i = 0; i < 24; ++i) {
+      const Query q{randomHealthy(faults, srcRng), dests[k]};
+      batch.push_back(q);
+      if (k < dests.size() / 2) resident.push_back(q);
+    }
+  }
+  RouteService unarmed(faults, cfg);
+  const BatchResult reference = unarmed.serve(batch, /*wantPaths=*/true);
+  const BatchResult residentReference =
+      unarmed.serve(resident, /*wantPaths=*/true);
+  service.serve(resident);
+  ASSERT_EQ(service.snapshot()->residentColumnCount(), dests.size() / 2);
+
+  Failpoint& fp = FailpointRegistry::global().point("service.compile.fail");
+  const std::uint64_t firedBefore = fp.fireCount();
+  FailpointSpec once;
+  once.maxFires = 1;
+  fp.arm(once);
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> readerBatches{0};
+  std::atomic<std::uint64_t> readerErrors{0};
+  std::thread reader([&] {
+    do {
+      try {
+        const BatchResult r = service.serve(resident, /*wantPaths=*/true);
+        if (r.epoch != 0 || r.status != residentReference.status ||
+            r.hops != residentReference.hops ||
+            r.paths != residentReference.paths) {
+          readerErrors.fetch_add(1);
+        }
+      } catch (...) {
+        readerErrors.fetch_add(1);
+      }
+      readerBatches.fetch_add(1);
+    } while (!done.load());
+  });
+  while (readerBatches.load() == 0) std::this_thread::yield();
+  EXPECT_THROW(service.serve(batch, /*wantPaths=*/true), FailpointError);
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(fp.fireCount() - firedBefore, 1u);
+  EXPECT_EQ(readerErrors.load(), 0u);
+
+  // The failed job compiled nothing; every column the other jobs
+  // installed equals a fresh compile.
+  {
+    const auto snap = service.snapshot();
+    const std::vector<NodeId> present = snap->presentColumns();
+    EXPECT_GE(present.size(), dests.size() / 2);
+    EXPECT_LT(present.size(), dests.size());
+    const auto router =
+        RouterRegistry::global().create("rb2", snap->context());
+    for (const NodeId id : present) {
+      SCOPED_TRACE("destination " + mesh.point(id).str());
+      const auto column = snap->column(id);
+      ASSERT_NE(column, nullptr);
+      const PackedRouteColumn fresh =
+          compilePackedRouteColumn(*router, snap->faults(), mesh.point(id));
+      EXPECT_EQ(column->hopBound(), fresh.hopBound());
+      for (NodeId u = 0; u < mesh.nodeCount(); ++u) {
+        ASSERT_EQ(column->nibble(u), fresh.nibble(u)) << "node " << u;
+      }
+    }
+  }
+
+  // The failpoint is spent: the next serve compiles the rest and answers
+  // exactly as the unarmed service did.
+  expectSameBatch(service.serve(batch, /*wantPaths=*/true), reference);
+  EXPECT_EQ(service.snapshot()->residentColumnCount(), dests.size());
 }
 
 TEST(ServiceTest, ConcurrentIdenticalBatchesMatchSerialReference) {

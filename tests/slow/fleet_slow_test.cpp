@@ -47,7 +47,6 @@ TEST(FleetSlowDifferential, EveryRegistryKeyMatchesSingleService) {
   const FaultSet faults = injectInterior(probe, 140, /*margin=*/3, rng);
   const auto batch = pooledBatch(mesh, 120, 12, 103);
   for (const auto& key : RouterRegistry::global().keys()) {
-    if (key.starts_with("table:")) continue;
     SCOPED_TRACE(key);
     ServiceFleet fleet(faults, fleetConfig(key, 2));
     RouteService single(faults, singleConfig(key));
@@ -56,15 +55,13 @@ TEST(FleetSlowDifferential, EveryRegistryKeyMatchesSingleService) {
   }
 }
 
-// The name is historical: see FleetDifferential's
-// EncodingsProduceIdenticalFleetResults, which this runs for every key.
-TEST(FleetSlowDifferential, EveryKeyServesIdenticallyAcrossEncodings) {
+// FleetDifferential.ServeModesAgreeThroughTheFleet, run for every key.
+TEST(FleetSlowDifferential, EveryKeyServesBothModesIdentically) {
   const Mesh2D mesh = Mesh2D::square(48);
-  // ~15 intra-shard queries per shard: every shard sub-batch is past
-  // the inline limit, so the lockstep and path serves really run.
+  // 240 queries over 10 destinations: each shard's sub-batch chases
+  // several multi-query destination groups in both serve modes.
   const auto batch = pooledBatch(mesh, 240, 10, 313);
   for (const auto& key : RouterRegistry::global().keys()) {
-    if (key.starts_with("table:")) continue;
     SCOPED_TRACE(key);
     Rng rng(311);
     FaultSet faults = injectUniform(mesh, 140, rng);

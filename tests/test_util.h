@@ -1,66 +1,16 @@
-// Shared helpers for the meshrt test suites.
+// Shared helpers for the meshrt test suites: fault sets from cell lists
+// and a brute-force monotone-reachability oracle.
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <stdexcept>
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
 #include "fault/fault_set.h"
 #include "fault/injectors.h"
 #include "mesh/mesh.h"
-#include "route/registry.h"
-#include "route/route_table.h"
 
 namespace meshrt::testutil {
-
-// ------------------------------------------------- poison-router seam
-//
-// A registry key ("poison-when-armed") that is exactly rb2 while
-// disarmed but whose router construction throws while armed: the seam
-// the exception-scoping suites (service- and fleet-level) use to make a
-// writer's patch jobs fail on demand without touching any failpoint.
-
-/// Armed => the poison factory throws instead of building a router.
-inline std::atomic<bool>& poisonArmed() {
-  static std::atomic<bool> armed{false};
-  return armed;
-}
-
-/// RAII arm/disarm so a failing assertion can never leave the registry
-/// poisoned for later tests.
-struct PoisonScope {
-  PoisonScope() { poisonArmed().store(true); }
-  ~PoisonScope() { poisonArmed().store(false); }
-};
-
-/// Registers "poison-when-armed" (plus its table: wrapper, so the
-/// iterate-every-key differential tests keep working): exactly rb2 while
-/// disarmed, throws from the factory while armed.
-inline void ensurePoisonRouterRegistered() {
-  static const bool once = [] {
-    auto factory = [](const RouterContext& ctx) -> std::unique_ptr<Router> {
-      if (poisonArmed().load()) {
-        throw std::runtime_error("poison-when-armed: armed");
-      }
-      return RouterRegistry::global().create("rb2", ctx);
-    };
-    auto& registry = RouterRegistry::global();
-    registry.add("poison-when-armed", "RB2(poison)",
-                 "rb2 whose construction throws while armed (test-only)",
-                 factory);
-    registry.add("table:poison-when-armed", "RB2(poison)·tbl",
-                 "compiled table over poison-when-armed (test-only)",
-                 [factory](const RouterContext& ctx)
-                     -> std::unique_ptr<Router> {
-                   return std::make_unique<TableizedRouter>(factory(ctx),
-                                                            *ctx.faults);
-                 });
-    return true;
-  }();
-  (void)once;
-}
 
 /// Fault set from an explicit cell list.
 inline FaultSet faultsAt(const Mesh2D& mesh,
