@@ -9,15 +9,16 @@ copy-on-write paged storage), the in-process telemetry on/off overhead
 A/B at the single-core 64x64 point, the failpoint armed/disarmed A/B at
 the same point (both held to the <= 2% hot-path budget), the fleet chaos
 point (applier failpoints armed, bounded queues, supervisor healing on
-the clock), and the table/chase + executor micro kernels — several
-times each (median-of-N so one noisy run cannot move the record) — and
-emits a machine- and commit-stamped JSON report (`dirty` marks a report
-generated from a tree with uncommitted changes). The committed
-BENCH_service.json at the repo root is the trajectory record: regenerate
-it on perf-relevant PRs and eyeball the diff. Its `encoding` and
-`storage` rows are the recorded verdicts of the dense-column,
-forced-scalar and deep-clone A/B baselines, which have since been
-removed from the code; a regenerated report no longer carries them.
+the clock), and the table/chase, executor and column-patch micro
+kernels — several times each (median-of-N so one noisy run cannot move
+the record) — and emits a machine- and commit-stamped JSON report
+(`dirty` marks a report generated from a tree with uncommitted changes).
+The committed BENCH_service.json at the repo root is the trajectory
+record: regenerate it on perf-relevant PRs and eyeball the diff. Its
+`encoding` and `storage` rows are the recorded verdicts of the
+dense-column, forced-scalar and deep-clone A/B baselines, which have
+since been removed from the code; a regenerated report no longer carries
+them.
 
     python3 scripts/bench_report.py                 # median of 5, smoke
     python3 scripts/bench_report.py --runs 1        # CI smoke (fast)
@@ -37,7 +38,10 @@ import subprocess
 import sys
 from datetime import datetime, timezone
 
-MICRO_FILTER = "ChaseColumn|ChaseDiverging|TaskGroupOverhead"
+# ServiceDeltaPatchEvent is the report's one column-patch figure: the
+# writer-only publish sweep compiles no columns and so patches none.
+MICRO_FILTER = ("ChaseColumn|ChaseDiverging|TaskGroupOverhead"
+                "|ServiceDeltaPatchEvent")
 
 
 def run_json(cmd, extra_env=None):

@@ -14,9 +14,13 @@
 //
 // Each column also carries its chase hop bound: the longest terminating
 // chase (delivered or no-route) over the column, derived during
-// compilation by resolving the functional hop graph and re-derived on
-// every patch. A terminating chase never revisits a node (revisiting
-// would cycle forever), so bound <= nodeCount, and a lockstep batch loop
+// compilation by resolving the functional hop graph, and a witness node
+// whose chase takes exactly that many steps. A patch updates the bound
+// from the chases its changed entries reach: it keeps the bound when no
+// entry changed, re-walks the changed entries' upstream set when the
+// witness's chase is not among them, and re-walks the whole column only
+// when it is. A terminating chase never revisits a node (revisiting
+// would cycle forever), so bound < nodeCount, and a lockstep batch loop
 // can run exactly `bound` steps with NO per-lane step bookkeeping:
 // every lane still active afterwards would also still be active after
 // nodeCount steps, i.e. it diverged. That hoists the livelock guard out
@@ -44,8 +48,8 @@ class PackedRouteColumn {
   static constexpr std::uint8_t kNoRouteNibble = 0x7;
 
   /// Packs `dense` (compiled or patched by the usual route_table path).
-  /// The hop bound is derived here: one memoized pass over the hop
-  /// graph, O(nodeCount).
+  /// The hop bound and its witness are derived here: one memoized pass
+  /// over the hop graph, O(nodeCount).
   PackedRouteColumn(const RouteColumn& dense, const Mesh2D& mesh);
 
   Point dest() const { return dest_; }
@@ -83,15 +87,24 @@ class PackedRouteColumn {
 
   /// Copy with the entries of `cells` recomputed as fresh first hops of
   /// `router` (which must read the post-delta analysis); every other
-  /// entry is carried verbatim, the hop bound is re-derived. Mirrors
-  /// RouteColumn::patched entry for entry (same firstHopByte helper).
+  /// entry is carried verbatim. Mirrors RouteColumn::patched entry for
+  /// entry (same firstHopByte helper). The hop bound is updated from the
+  /// entries whose nibble changed: kept when none did; else the changed
+  /// entries' upstream set (chaseUpstream) is re-walked, with memoized
+  /// walks through the unchanged tails, and the bound rises to the
+  /// longest of those chases. Only when the witness's own chase runs
+  /// through a changed entry does the whole column re-walk. So the cost
+  /// is O(|cells| + changed chases + walked tails), not O(nodeCount),
+  /// and the bound equals a fresh derivation's exactly.
   PackedRouteColumn patched(Router& router, const FaultSet& faults,
                             const std::vector<NodeId>& cells) const;
 
  private:
   void setNibble(NodeId id, std::uint8_t value);
-  /// Resolves the functional hop graph: max finite chase length.
-  std::uint32_t deriveHopBound() const;
+  /// Raises hopBound_ to the longest terminating chase from a node of
+  /// `starts`, moving hopWitness_ to the first start that exceeds it.
+  template <class Starts>
+  void raiseHopBound(const Starts& starts);
 
   Point dest_;
   NodeId destId_;
@@ -99,6 +112,9 @@ class PackedRouteColumn {
   NodeId nodeCount_;
   std::vector<std::uint8_t> nibbles_;
   std::uint32_t hopBound_ = 0;
+  /// A node whose chase terminates after exactly hopBound_ steps (the
+  /// destination when the bound is 0).
+  NodeId hopWitness_;
 };
 
 /// Compiles the packed column for `dest` by packing the dense compile —

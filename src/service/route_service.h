@@ -5,13 +5,15 @@
 // lookups per hop, and stays correct under live fault churn by serving
 // every batch from an immutable epoch snapshot while applyAddFault /
 // applyRemoveFault build the next epoch from the incremental labeler's
-// deltas — recompiling only the columns whose dependency region the delta
-// touched. Epoch snapshots are copy-on-write paged end to end (fault set,
-// labels, MCC indices, knowledge, column table), so publishing an epoch
-// costs O(pages touched by the delta), not O(mesh) — the storage-side
-// mirror of the incremental compute. This is the layer that turns the
-// reproduction from "runs experiments" into "answers traffic"; see
-// DESIGN.md sections 7 and 9.
+// deltas — patching every live column, in which only the entries whose
+// chases touch the delta's label-change footprint are recomputed (the
+// footprint holds the toggled cell, so no live column is carried
+// untouched). Epoch snapshots are copy-on-write paged end to end (fault
+// set, labels, MCC indices, knowledge, column table), so publishing an
+// epoch costs O(pages touched by the delta), not O(mesh) — the
+// storage-side mirror of the incremental compute. This is the layer that
+// turns the reproduction from "runs experiments" into "answers traffic";
+// see DESIGN.md sections 7 and 9.
 //
 // Threading model:
 //   - serve() may be called from any number of reader threads; each batch

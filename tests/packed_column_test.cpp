@@ -7,8 +7,8 @@
 //    RouteColumn's entries, for every registry router and under
 //    randomized fault churn + patch sequences (bit-identity by
 //    construction through the shared firstHopByte helper);
-//  - the per-column hop bound equals a from-scratch re-derivation after
-//    every patch, and bounds every terminating chase — the invariant
+//  - the per-column hop bound equals a from-scratch re-derivation and
+//    the longest terminating chase after every patch — the invariant
 //    that lets lockstep loops run `hopBound()` steps and call every
 //    still-active lane Diverged;
 //  - the scalar-lockstep and AVX2 batch engines both reproduce the
@@ -137,71 +137,126 @@ TEST(PackedColumnTest, CompileMatchesDenseForEveryRegistryKey) {
 
 TEST(PackedColumnTest, RandomizedPatchSequencesStayBitIdentical) {
   // Both encodings patch through firstHopByte; ANY common cell list must
-  // keep them bit-identical, and the carried hop bound must equal a
-  // from-scratch re-derivation (packing the patched dense column derives
-  // it fresh from the same entries). The bound must also dominate every
-  // terminating chase — the invariant the lockstep engines rely on.
-  const Mesh2D mesh = Mesh2D::square(16);
-  Rng rng(3301);
-  FaultSet faults = injectUniform(mesh, 24, rng);
-  const Point dest{13, 11};
-  ASSERT_TRUE(faults.isHealthy(dest));
+  // keep them bit-identical. After every patch the carried hop bound must
+  // equal a from-scratch re-derivation (packing the patched dense column
+  // derives it fresh from the same entries) and the longest terminating
+  // chase over all sources — whether the patch grew the bound, shrank
+  // it, changed no entry, or changed the witness's own chase (the full
+  // re-walk). Even rounds patch exactly what the service passes: the
+  // chaseUpstream set of the toggle's label-change footprint. Odd rounds
+  // patch the toggled cell plus arbitrary cells, so entries upstream of
+  // a changed one change length without being patched themselves.
+  // ecube's ring detours livelock, so its patches create and break
+  // cycles.
+  struct Case {
+    std::string key;
+    Coord side;
+    std::size_t faultCount;
+    int rounds;
+    std::uint64_t seed;
+  };
+  const Case cases[] = {{"rb2", 16, 24, 16, 3301},
+                        {"rb2", 24, 86, 40, 3311},
+                        {"ecube", 24, 86, 40, 3321}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.key + " " + std::to_string(c.side));
+    const Mesh2D mesh = Mesh2D::square(c.side);
+    Rng rng(c.seed);
+    FaultSet faults = injectUniform(mesh, c.faultCount, rng);
+    const Point dest = randomHealthy(faults, rng);
+    // Follows every toggle the way the service's labeler does; its delta
+    // is the footprint the service masks.
+    FaultAnalysis analysis(faults);
+    analysis.materializeAll();
+    const RouterContext ctx{&faults, &analysis};
 
-  RouteColumn dense = [&] {
-    const FaultAnalysis fa(faults);
-    const RouterContext ctx{&faults, &fa};
-    const auto router = RouterRegistry::global().create("rb2", ctx);
-    return compileRouteColumn(*router, faults, dest);
-  }();
-  PackedRouteColumn packed(dense, mesh);
-  expectColumnsBitIdentical(dense, packed, mesh);
-
-  Rng churn(3302);
-  for (int round = 0; round < 8; ++round) {
-    SCOPED_TRACE(round);
-    // Toggle one node (never the destination), rebuild the analysis the
-    // way the service's epoch build would.
-    Point p = dest;
-    while (p == dest) {
-      p = {static_cast<Coord>(churn.below(16)),
-           static_cast<Coord>(churn.below(16))};
-    }
-    if (faults.isFaulty(p)) {
-      faults.remove(p);
-    } else {
-      faults.add(p);
-    }
-    const FaultAnalysis fa(faults);
-    const RouterContext ctx{&faults, &fa};
-    const auto denseRouter = RouterRegistry::global().create("rb2", ctx);
-    const auto packedRouter = RouterRegistry::global().create("rb2", ctx);
-
-    std::vector<NodeId> cells;
-    cells.push_back(mesh.id(p));
-    for (int c = 0; c < 40; ++c) {
-      cells.push_back(static_cast<NodeId>(
-          churn.below(static_cast<std::uint64_t>(mesh.nodeCount()))));
-    }
-    std::sort(cells.begin(), cells.end());
-    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-
-    dense = dense.patched(*denseRouter, faults, cells);
-    packed = packed.patched(*packedRouter, faults, cells);
+    RouteColumn dense = [&] {
+      const auto router = RouterRegistry::global().create(c.key, ctx);
+      return compileRouteColumn(*router, faults, dest);
+    }();
+    PackedRouteColumn packed(dense, mesh);
     expectColumnsBitIdentical(dense, packed, mesh);
 
-    // Hop-bound oracle: re-deriving from scratch must agree.
-    EXPECT_EQ(packed.hopBound(), PackedRouteColumn(dense, mesh).hopBound());
+    Rng churn(c.seed + 1);
+    int grew = 0;
+    int shrank = 0;
+    int cycleChanges = 0;
+    std::size_t lastDiverged = 0;
+    std::vector<Point> longestPath{dest};
+    for (int round = 0; round < c.rounds; ++round) {
+      SCOPED_TRACE(round);
+      // Toggle one node (never the destination). Every third toggle lands
+      // on the longest chase, whose length the bound is.
+      Point p = dest;
+      if (round % 3 == 2) {
+        p = longestPath[churn.below(longestPath.size())];
+      }
+      while (p == dest) {
+        p = {static_cast<Coord>(
+                 churn.below(static_cast<std::uint64_t>(c.side))),
+             static_cast<Coord>(
+                 churn.below(static_cast<std::uint64_t>(c.side)))};
+      }
+      std::vector<Point> footprint;
+      if (faults.isFaulty(p)) {
+        faults.remove(p);
+        footprint = analysis.applyRemoveFault(p);
+      } else {
+        faults.add(p);
+        footprint = analysis.applyAddFault(p);
+      }
+      footprint.push_back(p);
 
-    // Every terminating chase fits under the bound (delivered chases
-    // take `hops` advances, no-route chases path.size()-1).
-    const auto maxSteps = static_cast<std::size_t>(mesh.nodeCount());
-    for (NodeId id = 0; id < mesh.nodeCount(); ++id) {
-      const ServedRoute chase =
-          chaseColumn(packed, mesh, mesh.point(id), maxSteps, true);
-      if (chase.status == ServeStatus::Diverged) continue;
-      EXPECT_LE(chase.path.size() - 1,
-                static_cast<std::size_t>(packed.hopBound()))
-          << "node " << id;
+      std::vector<NodeId> cells;
+      if (round % 2 == 0) {
+        std::vector<NodeId> masked;
+        for (Point q : footprint) masked.push_back(mesh.id(q));
+        cells = chaseUpstream(packed, mesh, masked);
+      } else {
+        cells.push_back(mesh.id(p));
+        for (int k = 0; k < 40; ++k) {
+          cells.push_back(static_cast<NodeId>(
+              churn.below(static_cast<std::uint64_t>(mesh.nodeCount()))));
+        }
+        std::sort(cells.begin(), cells.end());
+        cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+      }
+
+      const auto denseRouter = RouterRegistry::global().create(c.key, ctx);
+      const auto packedRouter = RouterRegistry::global().create(c.key, ctx);
+      const std::uint32_t before = packed.hopBound();
+      dense = dense.patched(*denseRouter, faults, cells);
+      packed = packed.patched(*packedRouter, faults, cells);
+      expectColumnsBitIdentical(dense, packed, mesh);
+
+      // Hop-bound oracles: a fresh derivation, and brute force (delivered
+      // chases take `hops` advances, no-route chases path.size()-1).
+      EXPECT_EQ(packed.hopBound(), PackedRouteColumn(dense, mesh).hopBound());
+      const auto maxSteps = static_cast<std::size_t>(mesh.nodeCount());
+      std::size_t longest = 0;
+      std::size_t diverged = 0;
+      for (NodeId id = 0; id < mesh.nodeCount(); ++id) {
+        const ServedRoute chase =
+            chaseColumn(packed, mesh, mesh.point(id), maxSteps, true);
+        if (chase.status == ServeStatus::Diverged) {
+          ++diverged;
+        } else if (chase.path.size() - 1 >= longest) {
+          longest = chase.path.size() - 1;
+          longestPath = chase.path;
+        }
+      }
+      EXPECT_EQ(packed.hopBound(), longest);
+      grew += packed.hopBound() > before;
+      shrank += packed.hopBound() < before;
+      cycleChanges += round > 0 && diverged != lastDiverged;
+      lastDiverged = diverged;
+    }
+    // The sequences really move the bound both ways, and ecube's really
+    // move its cycles.
+    EXPECT_GT(grew, 0);
+    EXPECT_GT(shrank, 0);
+    if (c.key == "ecube") {
+      EXPECT_GT(cycleChanges, 0);
     }
   }
 }

@@ -116,6 +116,23 @@ void expectSameRoute(const BatchResult& r, std::size_t i,
   }
 }
 
+/// The longest terminating chase of `column` over every source, in
+/// advances (a no-route chase counts the hops it took before stopping):
+/// the brute-force value of hopBound().
+std::size_t longestTerminatingChase(const PackedRouteColumn& column,
+                                    const Mesh2D& mesh) {
+  std::size_t longest = 0;
+  for (NodeId id = 0; id < mesh.nodeCount(); ++id) {
+    const ServedRoute chase =
+        chaseColumn(column, mesh, mesh.point(id),
+                    static_cast<std::size_t>(mesh.nodeCount()), true);
+    if (chase.status != ServeStatus::Diverged) {
+      longest = std::max(longest, chase.path.size() - 1);
+    }
+  }
+  return longest;
+}
+
 /// Whole-batch bitwise equality (the determinism contract).
 void expectSameBatch(const BatchResult& a, const BatchResult& b) {
   EXPECT_EQ(a.epoch, b.epoch);
@@ -596,45 +613,92 @@ TEST(ServiceTest, EventsPatchOnlyChaseAffectedEntriesAndStayValid) {
   const Mesh2D mesh = Mesh2D::square(24);
   Rng rng(41);
   const FaultSet faults = injectUniform(mesh, 40, rng);
-  ServiceConfig cfg;
-  cfg.threads = 2;
-  RouteService service(faults, cfg);
-  const auto queries = randomBatch(mesh, 200, 43);
-  service.serve(queries);
-  const auto before = service.counters();
-  const std::size_t compiledBefore =
-      service.snapshot()->residentColumnCount();
-  ASSERT_GT(compiledBefore, 0u);
+  // Sixteen destinations keep the per-event bound oracle below cheap.
+  auto queries = randomBatch(mesh, 200, 43);
+  for (std::size_t i = 16; i < queries.size(); ++i) {
+    queries[i].d = queries[i % 16].d;
+  }
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ServiceConfig cfg;
+    cfg.threads = threads;
+    RouteService service(faults, cfg);
+    service.serve(queries);
+    const auto before = service.counters();
+    const std::size_t compiledBefore =
+        service.snapshot()->residentColumnCount();
+    ASSERT_GT(compiledBefore, 0u);
 
-  // One added fault: every column is patched or dropped, and the patch
-  // work is entries, not whole columns.
-  Point toggle{12, 12};
-  while (service.snapshot()->faults().isFaulty(toggle)) toggle.x += 1;
-  const std::uint64_t epoch = service.applyAddFault(toggle);
-  EXPECT_EQ(epoch, 1u);
-  const auto after = service.counters();
-  EXPECT_EQ(after.columnsCompiled, before.columnsCompiled);
-  EXPECT_EQ(after.columnsPatched + after.columnsDropped -
-                (before.columnsPatched + before.columnsDropped),
-            compiledBefore);
-  const std::uint64_t patchedEntries =
-      after.entriesPatched - before.entriesPatched;
-  const std::uint64_t patchedColumns =
-      after.columnsPatched - before.columnsPatched;
-  EXPECT_GT(patchedColumns, 0u);
-  // The whole point: far fewer recomputed entries than a full recompile
-  // of the patched columns would cost.
-  EXPECT_LT(patchedEntries,
-            patchedColumns * static_cast<std::uint64_t>(mesh.nodeCount()));
+    // One added fault: every column is patched or dropped, and the patch
+    // work is entries, not whole columns.
+    Point toggle{12, 12};
+    while (service.snapshot()->faults().isFaulty(toggle)) toggle.x += 1;
+    const std::uint64_t epoch = service.applyAddFault(toggle);
+    EXPECT_EQ(epoch, 1u);
+    const auto after = service.counters();
+    EXPECT_EQ(after.columnsCompiled, before.columnsCompiled);
+    EXPECT_EQ(after.columnsPatched + after.columnsDropped -
+                  (before.columnsPatched + before.columnsDropped),
+              compiledBefore);
+    const std::uint64_t patchedEntries =
+        after.entriesPatched - before.entriesPatched;
+    const std::uint64_t patchedColumns =
+        after.columnsPatched - before.columnsPatched;
+    EXPECT_GT(patchedColumns, 0u);
+    // The whole point: far fewer recomputed entries than a full recompile
+    // of the patched columns would cost.
+    EXPECT_LT(patchedEntries,
+              patchedColumns * static_cast<std::uint64_t>(mesh.nodeCount()));
 
-  // Served paths remain valid against the new epoch without recompiling.
-  const BatchResult result = service.serve(queries, /*wantPaths=*/true);
-  EXPECT_EQ(result.epoch, 1u);
-  const auto snap = service.snapshot();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (!result.delivered(i)) continue;
-    EXPECT_TRUE(isValidPath(snap->faults(), queries[i].s, queries[i].d,
-                            result.paths[i]));
+    // Served paths remain valid against the new epoch without recompiling.
+    const BatchResult result = service.serve(queries, /*wantPaths=*/true);
+    EXPECT_EQ(result.epoch, 1u);
+    const auto snap = service.snapshot();
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      if (!result.delivered(i)) continue;
+      EXPECT_TRUE(isValidPath(snap->faults(), queries[i].s, queries[i].d,
+                              result.paths[i]));
+    }
+
+    // Churn beside existing faults, so adds merge MCCs and repairs split
+    // them. After every event each resident column's hop bound is exact:
+    // the lockstep-vs-path comparisons elsewhere catch a bound that is too
+    // small, but not one that is too large.
+    Rng churn(47);
+    int merges = 0;
+    int splits = 0;
+    for (int t = 0; t < 32; ++t) {
+      SCOPED_TRACE("toggle " + std::to_string(t));
+      const auto current = service.snapshot();
+      const std::vector<Point> faulty = current->faults().toVector();
+      Point p{-1, -1};
+      while (!mesh.contains(p)) {
+        const Point f = faulty[churn.below(faulty.size())];
+        p = {f.x + static_cast<Coord>(churn.below(3)) - 1,
+             f.y + static_cast<Coord>(churn.below(3)) - 1};
+      }
+      const std::size_t mccsBefore =
+          current->analysis().quadrant(Quadrant::NE).mccCount();
+      const bool add = current->faults().isHealthy(p);
+      if (add) {
+        service.applyAddFault(p);
+      } else {
+        service.applyRemoveFault(p);
+      }
+      const auto next = service.snapshot();
+      const std::size_t mccsAfter =
+          next->analysis().quadrant(Quadrant::NE).mccCount();
+      merges += add && mccsAfter < mccsBefore;
+      splits += !add && mccsAfter > mccsBefore;
+      for (const NodeId id : next->presentColumns()) {
+        const auto column = next->column(id);
+        ASSERT_NE(column, nullptr);
+        EXPECT_EQ(column->hopBound(), longestTerminatingChase(*column, mesh))
+            << "destination " << mesh.point(id).str();
+      }
+    }
+    EXPECT_GT(merges, 0);
+    EXPECT_GT(splits, 0);
   }
 }
 
