@@ -18,7 +18,10 @@
 // (aggregate QPS + p50/p99 batch latency), `shardK` isolates shard K's
 // intra-shard batches — the per-shard latency columns. The single-mode
 // shardK rows serve the SAME quadrant batches through the full-mesh
-// service, so the per-shard columns are a like-for-like A/B.
+// service, so the per-shard columns are a like-for-like A/B. A shardK
+// row prints n/a for qps and the verdict shares: every reader
+// interleaves all targets in one timed window, and the bench counts
+// verdicts per window, so only the batch latencies are the shard's own.
 //
 //   ./service_fleet_qps --meshes 256 --grid 2 --readers 24 --writers 0,1
 //   ./service_fleet_qps --smoke          # seconds-fast CI configuration
@@ -32,17 +35,16 @@
 // `evicted` columns show what the budget did), --mesh 1024 --grid 4 is
 // the headline large-mesh configuration (--modes auto drops the
 // full-mesh single baseline at >= 1024, where one service cannot even
-// build), and --reader-threads N partitions readers 1:1 onto shards
-// (thread t serves ONLY shard t%shards' intra batches — shard-disjoint
-// readers share no snapshot, the aggregate-QPS scaling rows). The final
-// --metrics-out snapshot carries a process.peak_rss_bytes gauge so CI
-// can assert a hard memory ceiling on budgeted runs.
+// build). The final --metrics-out snapshot carries a
+// process.peak_rss_bytes gauge so CI can assert a hard memory ceiling on
+// budgeted runs.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #if defined(__unix__)
@@ -124,12 +126,6 @@ int main(int argc, char** argv) {
                "snapshots run CLOCK second-chance eviction; evicted "
                "columns recompile bit-identically on next touch "
                "(DESIGN.md section 14)");
-  flags.define("reader-threads", "0",
-               "partitioned multi-core mode: N reader threads, thread t "
-               "serving ONLY shard t%shards' intra batches (no mixed "
-               "batch) — shard-disjoint readers never touch the same "
-               "snapshot, so aggregate QPS scales with cores. 0 = the "
-               "classic staggered --readers workload");
   flags.define("halo", "2", "halo width replicated into neighbor shards");
   flags.define("fault-rate", "0.02", "initial fault fraction of nodes");
   flags.define("router", "ecube", "registry key the columns compile");
@@ -222,8 +218,6 @@ int main(int argc, char** argv) {
     std::cerr << "--column-budget-mb must be >= 0\n";
     return 1;
   }
-  const std::size_t readerThreads =
-      static_cast<std::size_t>(flags.integer("reader-threads"));
   const std::string modes = flags.str("modes");
   if (modes != "auto") {
     for (const std::string& m : splitCommaList(modes)) {
@@ -264,8 +258,8 @@ int main(int argc, char** argv) {
       flags.str("metrics-out"),
       static_cast<std::uint64_t>(flags.integer("metrics-every")));
 
-  Table table({"mesh", "mode", "scope", "readers", "writers", "rthreads",
-               "qps", "p50_ms", "p99_ms", "events/s", "delivered",
+  Table table({"mesh", "mode", "scope", "readers", "writers", "qps",
+               "p50_ms", "p99_ms", "events/s", "delivered",
                "stale_pct", "shed_pct", "deadline_pct", "restarts",
                "col_mb", "evicted"});
   for (std::size_t meshSize : meshes) {
@@ -427,12 +421,9 @@ int main(int argc, char** argv) {
         std::atomic<std::uint64_t> events{0};
         std::vector<std::thread> churners;
         std::atomic<std::uint64_t> delivered{0};
-        const std::size_t serveThreads =
-            readerThreads > 0 ? readerThreads : readers;
         // latencyMs[r][k] collects reader r's serve times for shard k's
         // intra batches; index `shards` is the mixed batch.
-        std::vector<std::vector<std::vector<double>>> latencyMs(
-            serveThreads);
+        std::vector<std::vector<std::vector<double>>> latencyMs(readers);
         const std::uint64_t restartsBefore =
             fleet ? fleet->counters().restarts : 0;
         // Chaos window: armed for the fleet rows only (the failpoints
@@ -496,35 +487,19 @@ int main(int argc, char** argv) {
           });
         }
         std::vector<std::thread> serving;
-        for (std::size_t r = 0; r < serveThreads; ++r) {
+        for (std::size_t r = 0; r < readers; ++r) {
           serving.emplace_back([&, r] {
             latencyMs[r].resize(shards + 1);
             std::uint64_t ok = 0;
-            const auto& myBatches = batches[r % readers];
-            if (readerThreads > 0) {
-              // Partitioned mode: this thread owns shard r % shards and
-              // serves only its intra batches — no mixed batch, no
-              // cross-thread snapshot sharing. Per-thread batch count
-              // matches a classic reader's (rounds * (shards + 1)).
-              const std::size_t k = r % shards;
-              const std::size_t cycles = rounds * (shards + 1);
-              for (std::size_t round = 0; round < cycles; ++round) {
+            for (std::size_t round = 0; round < rounds; ++round) {
+              for (std::size_t k = 0; k <= shards; ++k) {
+                // Stagger shard order across readers so one shard's
+                // batches don't all land at once.
+                const std::size_t target = (k + r) % (shards + 1);
                 const auto batchStart = Clock::now();
-                ok += serveCount(myBatches[k]);
-                latencyMs[r][k].push_back(
+                ok += serveCount(batches[r][target]);
+                latencyMs[r][target].push_back(
                     secondsSince(batchStart) * 1e3);
-              }
-            } else {
-              for (std::size_t round = 0; round < rounds; ++round) {
-                for (std::size_t k = 0; k <= shards; ++k) {
-                  // Stagger shard order across readers so one shard's
-                  // batches don't all land at once.
-                  const std::size_t target = (k + r) % (shards + 1);
-                  const auto batchStart = Clock::now();
-                  ok += serveCount(myBatches[target]);
-                  latencyMs[r][target].push_back(
-                      secondsSince(batchStart) * 1e3);
-                }
               }
             }
             delivered.fetch_add(ok, std::memory_order_relaxed);
@@ -558,27 +533,37 @@ int main(int argc, char** argv) {
           columnBytes = static_cast<double>(single->columnFootprint().bytes);
         }
 
+        // A scope's window throughput and verdict shares; shardK rows
+        // have none of their own (see the header), so they read n/a.
+        struct Rates {
+          double qps, deliveredPct, stalePct, shedPct, deadlinePct;
+        };
         const auto emitScope = [&](const std::string& scope,
                                    std::vector<double> samples,
-                                   double qps, double deliveredPct,
-                                   double stalePct, double shedPct,
-                                   double deadlinePct) {
+                                   std::optional<Rates> rates) {
           std::sort(samples.begin(), samples.end());
+          const Rates shown = rates.value_or(Rates{});
           Table& row = table.row();
+          const auto rate = [&](double value, int precision) {
+            if (rates) {
+              row.cell(value, precision);
+            } else {
+              row.cell("n/a");
+            }
+          };
           row.cell(static_cast<std::int64_t>(meshSize));
           row.cell(std::string(fleet ? "fleet" : "single"));
           row.cell(scope);
-          row.cell(static_cast<std::int64_t>(serveThreads));
+          row.cell(static_cast<std::int64_t>(readers));
           row.cell(static_cast<std::int64_t>(writerCount));
-          row.cell(static_cast<std::int64_t>(readerThreads));
-          row.cell(qps, 0);
+          rate(shown.qps, 0);
           row.cell(percentileMs(samples, 50.0), 2);
           row.cell(percentileMs(samples, 99.0), 2);
           row.cell(static_cast<double>(eventsInWindow) / seconds, 1);
-          row.cell(deliveredPct, 2);
-          row.cell(stalePct, 2);
-          row.cell(shedPct, 2);
-          row.cell(deadlinePct, 2);
+          rate(shown.deliveredPct, 2);
+          rate(shown.stalePct, 2);
+          rate(shown.shedPct, 2);
+          rate(shown.deadlinePct, 2);
           row.cell(static_cast<std::int64_t>(restartsInWindow));
           row.cell(columnBytes / (1024.0 * 1024.0), 2);
           row.cell(static_cast<std::int64_t>(evictedCount));
@@ -586,7 +571,7 @@ int main(int argc, char** argv) {
 
         std::vector<double> allMs;
         std::size_t totalBatches = 0;
-        for (std::size_t r = 0; r < serveThreads; ++r) {
+        for (std::size_t r = 0; r < readers; ++r) {
           for (const auto& perTarget : latencyMs[r]) {
             allMs.insert(allMs.end(), perTarget.begin(), perTarget.end());
             totalBatches += perTarget.size();
@@ -597,20 +582,18 @@ int main(int argc, char** argv) {
         const auto pct = [&](const std::atomic<std::uint64_t>& n) {
           return 100.0 * static_cast<double>(n.load()) / total;
         };
-        emitScope("all", allMs, total / seconds,
-                  100.0 * static_cast<double>(delivered.load()) / total,
-                  pct(staleQ), pct(shedQ), pct(deadlineQ));
+        emitScope("all", allMs,
+                  Rates{total / seconds,
+                        100.0 * static_cast<double>(delivered.load()) /
+                            total,
+                        pct(staleQ), pct(shedQ), pct(deadlineQ)});
         for (std::size_t k = 0; k < shards; ++k) {
           std::vector<double> shardMs;
-          for (std::size_t r = 0; r < serveThreads; ++r) {
+          for (std::size_t r = 0; r < readers; ++r) {
             shardMs.insert(shardMs.end(), latencyMs[r][k].begin(),
                            latencyMs[r][k].end());
           }
-          const double shardQueries =
-              static_cast<double>(shardMs.size()) *
-              static_cast<double>(queries);
-          emitScope("shard" + std::to_string(k), shardMs,
-                    shardQueries / seconds, 0.0, 0.0, 0.0, 0.0);
+          emitScope("shard" + std::to_string(k), shardMs, std::nullopt);
         }
         if (fleet) {
           // Degraded-mode row: the share of the workload the fleet
@@ -618,9 +601,9 @@ int main(int argc, char** argv) {
           // rate it did so at — the headline of a --chaos run.
           const double degraded = static_cast<double>(
               staleQ.load() + shedQ.load() + deadlineQ.load());
-          emitScope("degraded", {}, degraded / seconds,
-                    100.0 * degraded / total, pct(staleQ), pct(shedQ),
-                    pct(deadlineQ));
+          emitScope("degraded", {},
+                    Rates{degraded / seconds, 100.0 * degraded / total,
+                          pct(staleQ), pct(shedQ), pct(deadlineQ)});
         }
       }
     }

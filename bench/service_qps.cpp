@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
         // construction) vs fully disarmed (the one-relaxed-load fast
         // path). The pair sits milliseconds apart so machine drift
         // cancels, exactly like --telemetry-ab; the median overhead is
-        // the figure BENCH_service.json holds to the <= 2% budget.
+        // held to the <= 2% budget.
         FailpointArmScope armScope;
         Failpoint& fp =
             FailpointRegistry::global().point("service.serve.fail");

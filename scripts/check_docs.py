@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Fail on broken intra-repo markdown links in README/DESIGN/docs, and on
-a router-key list in docs/REPRODUCING.md that differs from the registry.
+"""Fail on broken intra-repo markdown links and backticked repo paths in
+README/DESIGN/docs, and on a router-key list in docs/REPRODUCING.md that
+differs from the registry.
 
 Checks every relative link target for existence and, when the target is a
 markdown file with a #fragment (or a bare same-file #fragment), that a
 matching heading exists. External links (http/https/mailto) are ignored.
+Every word of an inline code span that names a repo path must exist: a
+path under one of REPO_DIRS, or a root-level *.json or *.md file. A
+trailing :line suffix is dropped and each {a,b} alternative is checked.
+Paths relative to src/ (`route/planner.h`) are not checked.
 The documented router keys (the backticked keys after "Router registry
 keys:", up to the first full stop) must equal the `r.add("...")` keys of
 src/route/registry.cpp, in registration order.
@@ -20,6 +25,11 @@ REPO = Path(__file__).resolve().parent.parent
 # [text](target) — good enough for these docs; skips fenced code blocks.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+REPO_DIRS = ("src/", "bench/", "scripts/", "tests/", "docs/", "openbench/",
+             "examples/")
+ROOT_FILE_RE = re.compile(r"[\w.-]+\.(?:json|md)")
+BRACES_RE = re.compile(r"\{([^{}]*)\}")
 
 REGISTRY_SRC = REPO / "src" / "route" / "registry.cpp"
 KEY_DOC = REPO / "docs" / "REPRODUCING.md"
@@ -33,16 +43,22 @@ def doc_files():
     return [f for f in files if f.exists()]
 
 
-def heading_slugs(path: Path):
-    """GitHub-style slugs of every heading in a markdown file."""
-    slugs = set()
+def prose_lines(path: Path):
+    """(lineno, line) for every line outside fenced code blocks."""
     in_fence = False
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1):
         if line.lstrip().startswith("```"):
             in_fence = not in_fence
             continue
-        if in_fence:
-            continue
+        if not in_fence:
+            yield lineno, line
+
+
+def heading_slugs(path: Path):
+    """GitHub-style slugs of every heading in a markdown file."""
+    slugs = set()
+    for _, line in prose_lines(path):
         match = HEADING_RE.match(line)
         if not match:
             continue
@@ -53,16 +69,30 @@ def heading_slugs(path: Path):
 
 
 def links_in(path: Path):
-    in_fence = False
-    for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1):
-        if line.lstrip().startswith("```"):
-            in_fence = not in_fence
-            continue
-        if in_fence:
-            continue
+    for lineno, line in prose_lines(path):
         for match in LINK_RE.finditer(line):
             yield lineno, match.group(1)
+
+
+def repo_paths_in(path: Path):
+    """(lineno, word) for each word of an inline code span that names a
+    repo path, with any :line suffix dropped."""
+    for lineno, line in prose_lines(path):
+        for match in CODE_SPAN_RE.finditer(line):
+            for word in match.group(1).split():
+                word = re.sub(r"(:[\d-]+)+$", "", word)
+                if word.startswith(REPO_DIRS) or ROOT_FILE_RE.fullmatch(word):
+                    yield lineno, word
+
+
+def repo_path_exists(word):
+    """True when the path exists; `a.{h,cpp}` needs `a.h` and `a.cpp`."""
+    match = BRACES_RE.search(word)
+    if not match:
+        return (REPO / word).exists()
+    return all((REPO / (word[:match.start()] + option +
+                        word[match.end():])).exists()
+               for option in match.group(1).split(","))
 
 
 def registry_keys():
@@ -116,14 +146,19 @@ def main() -> int:
                     errors.append(
                         f"{where}: missing anchor '#{fragment}' in "
                         f"{resolved.relative_to(REPO)}")
+        for lineno, word in repo_paths_in(doc):
+            if not repo_path_exists(word):
+                errors.append(f"{doc.relative_to(REPO)}:{lineno}: "
+                              f"backticked path '{word}' does not exist")
 
     for error in errors:
         print(error, file=sys.stderr)
     if errors:
         print(f"{len(errors)} doc error(s)", file=sys.stderr)
         return 1
-    print(f"checked {len(doc_files())} docs, all intra-repo links resolve "
-          f"and the router-key list matches the registry")
+    print(f"checked {len(doc_files())} docs, all intra-repo links and "
+          f"backticked repo paths resolve and the router-key list matches "
+          f"the registry")
     return 0
 
 

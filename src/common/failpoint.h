@@ -4,9 +4,9 @@
 // operator can inject a failure: a throw, a stall, a rejection. Sites are
 // compiled in permanently; the contract that makes that affordable is the
 // disarmed cost: shouldFire() on a disarmed point is ONE relaxed atomic
-// load and a branch — no clock, no RNG, no shared-line write (the
-// `failpoint_overhead` A/B in BENCH_service.json holds the serve hot path
-// to the same <= 2% budget as telemetry).
+// load and a branch — no clock, no RNG, no shared-line write
+// (`service_qps --failpoint-ab` holds the serve hot path to the same
+// <= 2% budget as telemetry).
 //
 // Arming attaches a spec: a firing probability, a trigger-count budget
 // (fire at most N times, then fall silent), a seed, and an optional

@@ -38,7 +38,6 @@ class Table {
   bool writeCsvFile(const std::string& path) const;
 
   const std::vector<std::string>& header() const { return header_; }
-  std::size_t rowCount() const { return rows_.size(); }
 
  private:
   struct Cell {

@@ -63,7 +63,6 @@ class QuadrantAnalysis {
   /// The full id map (local frame).
   const MccIndexGrid& mccIndex() const { return labeler_.mccIndex(); }
 
-  bool isSafeLocal(Point local) const { return labels().isSafe(local); }
   bool isSafeWorld(Point world) const {
     return labels().isSafe(frame_.toLocal(world));
   }

@@ -49,7 +49,6 @@ class MetricSet {
   const RatioCounter& ratio(std::string_view name) const;
 
   bool contains(std::string_view name) const;
-  std::size_t columnCount() const { return columns_.size(); }
   std::vector<std::string> names() const;
 
   /// Folds `other` into this set column by column (creating columns as

@@ -61,12 +61,6 @@ class Frame {
   bool flipX() const { return flipX_; }
   bool flipY() const { return flipY_; }
 
-  /// The same reflection with the transpose toggled; used to derive the
-  /// type-II analysis frame from a type-I frame.
-  Frame withTranspose(bool transposed) const {
-    return Frame(width_, height_, flipX_, flipY_, transposed);
-  }
-
   Coord localWidth() const { return transposed_ ? height_ : width_; }
   Coord localHeight() const { return transposed_ ? width_ : height_; }
 

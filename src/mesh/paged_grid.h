@@ -157,9 +157,6 @@ class PagedGrid {
 
   const T& defaultValue() const { return init_; }
 
-  /// Page-table slots (allocated or not).
-  std::size_t pageCount() const { return pages_.size(); }
-
   /// Pages actually allocated (written at least once since the last fill).
   std::size_t allocatedPageCount() const {
     std::size_t n = 0;

@@ -320,7 +320,6 @@ std::optional<DetourPlanner::Plan> DetourPlanner::plan(
       lentScratch_ != nullptr ? *lentScratch_ : ownScratch_;
   scratch.beginPlan();
   Ctx ctx{d, known, cache, &scratch, kEvalBudget};
-  evaluations_ = 0;
   Point target = d;
   const Distance dist = eval(ctx, u, &target);
 
@@ -391,7 +390,6 @@ Distance DetourPlanner::distance(Point u, Point d,
 }
 
 Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
-  ++evaluations_;
   const Mesh2D& mesh = qa_->localMesh();
   const auto pass = [&](Point p) { return passable(p, ctx.known); };
   PlanScratch& scratch = *ctx.scratch;

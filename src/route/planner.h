@@ -220,10 +220,6 @@ class DetourPlanner {
   /// detour is found). Exposed for tests and the ablation benches.
   Distance distance(Point u, Point d, const std::vector<int>* known);
 
-  /// Evaluations of the recursive distance function in the last plan()
-  /// call; the recursion budget bounds pathological configurations.
-  std::size_t lastEvaluations() const { return evaluations_; }
-
  private:
   struct Ctx {
     Point d;
@@ -251,7 +247,6 @@ class DetourPlanner {
   PlanCache* cache_;
   PlanScratch* lentScratch_;  // or, when null, ownScratch_
   PlanScratch ownScratch_;
-  std::size_t evaluations_ = 0;
   std::size_t fallbacksTaken_ = 0;
 
  public:

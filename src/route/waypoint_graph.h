@@ -91,11 +91,6 @@ class BoundaryWaypointGraph {
     return shard == w.shardA ? w.b : w.a;
   }
 
-  std::size_t otherShard(std::size_t i, std::size_t shard) const {
-    const Waypoint& w = waypoints_[i];
-    return shard == w.shardA ? w.shardB : w.shardA;
-  }
-
   /// True when the shards share at least one healthy crossing. Symmetric.
   bool adjacent(std::size_t a, std::size_t b) const {
     return !border(a, b).empty();

@@ -126,9 +126,7 @@ ServiceFleet::ServiceFleet(const FaultSet& initial, FleetConfig cfg)
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     shards_[k]->applier = std::thread([this, k] { applierLoop(k, 0); });
   }
-  if (cfg_.supervise) {
-    supervisor_ = std::thread([this] { supervisorLoop(); });
-  }
+  supervisor_ = std::thread([this] { supervisorLoop(); });
 }
 
 ServiceFleet::~ServiceFleet() {
@@ -138,7 +136,7 @@ ServiceFleet::~ServiceFleet() {
     std::lock_guard<std::mutex> guard(supervisorMutex_);
   }
   supervisorCv_.notify_all();
-  if (supervisor_.joinable()) supervisor_.join();
+  supervisor_.join();
   for (auto& shard : shards_) {
     {
       std::lock_guard<std::mutex> guard(shard->mutex);
@@ -181,7 +179,6 @@ void ServiceFleet::applierLoop(std::size_t k, std::uint64_t generation) {
     const WriterEvent event = shard.queue.front();
     shard.queue.pop_front();
     shard.inflight = event;
-    shard.busy = true;
     shard.queueDepth->sub(1);
     // Border-epoch double bump, part 1 of 2 (part 2 in the ok branch
     // below): planner entries cached before this apply must not claim
@@ -230,7 +227,6 @@ void ServiceFleet::applierLoop(std::size_t k, std::uint64_t generation) {
       return;
     }
     shard.inflight.reset();
-    shard.busy = false;
     if (ok) {
       if (event.add) {
         shard.applied.add(event.local);
@@ -244,7 +240,7 @@ void ServiceFleet::applierLoop(std::size_t k, std::uint64_t generation) {
       if (border) ++shard.borderEpoch;  // bump part 2: post-publish
       eventsApplied_->add(1);
       shard.epoch->set(static_cast<std::int64_t>(service->epoch()));
-      // The lag gauge mirrors queue + busy, so it drops only once the
+      // The lag gauge mirrors queue + in-flight, so it drops only once the
       // event is fully applied — under the mutex, on the same transition
       // the writerQueueDepth() oracle observes.
       shard.epochLag->sub(1);
@@ -261,7 +257,7 @@ void ServiceFleet::applierLoop(std::size_t k, std::uint64_t generation) {
       shard.nextRebuildNs = telemetryNowNs() + rebuildBackoffNs(shard.failures);
       setHealthLocked(shard, ShardHealth::Quarantined);
       quarantines_->add(1);
-      shard.idle.notify_all();  // drainWriters re-evaluates (fail fast)
+      shard.idle.notify_all();  // drainWriters re-evaluates
       return;
     }
   }
@@ -316,7 +312,6 @@ void ServiceFleet::superviseShard(std::size_t k, std::uint64_t nowNs) {
           shard.inflight.reset();
           shard.queueDepth->add(1);
         }
-        shard.busy = false;
         shard.busySinceNs.store(0, std::memory_order_relaxed);
         shard.error = "applier stalled past " +
                       std::to_string(2 * cfg_.stallTimeoutMs) +
@@ -472,14 +467,7 @@ bool ServiceFleet::drainWriters(std::int64_t timeoutMs) {
   for (auto& shard : shards_) {
     std::unique_lock<std::mutex> lock(shard->mutex);
     for (;;) {
-      if (shard->health == ShardHealth::Quarantined && !cfg_.supervise) {
-        // Unsupervised quarantine never recovers: the pre-PR-9 code
-        // wedged here forever. Fail fast with the cause instead.
-        throw std::runtime_error(
-            "drainWriters: shard quarantined with supervision off (" +
-            shard->error + ")");
-      }
-      if (shard->queue.empty() && !shard->busy &&
+      if (shard->queue.empty() && !shard->inflight &&
           shard->health == ShardHealth::Healthy) {
         break;
       }
@@ -497,7 +485,7 @@ bool ServiceFleet::drainWriters(std::int64_t timeoutMs) {
 std::size_t ServiceFleet::writerQueueDepth(std::size_t k) const {
   const Shard& shard = *shards_[k];
   std::lock_guard<std::mutex> guard(shard.mutex);
-  return shard.queue.size() + (shard.busy ? 1 : 0);
+  return shard.queue.size() + (shard.inflight ? 1 : 0);
 }
 
 bool ServiceFleet::overloaded(std::size_t k) const {

@@ -167,10 +167,6 @@ struct FleetConfig {
   /// full. 0 = unbounded (events are never rejected). The in-flight
   /// event does not count against the bound.
   std::size_t queueCapacity = 0;
-  /// Run the supervisor thread (watchdog + quarantine rebuilds). With
-  /// supervision off a quarantined shard stays quarantined forever —
-  /// drainWriters() then fails fast instead of wedging.
-  bool supervise = true;
   /// Applier heartbeat budget: one event applying longer than this marks
   /// the shard Suspect; longer than twice this and the applier is
   /// abandoned, the shard Quarantined.
@@ -323,10 +319,7 @@ class ServiceFleet {
 
   /// Blocks until every shard's writer queue is empty, no event is
   /// mid-application, and every shard is Healthy. Returns false when
-  /// `timeoutMs` (>= 0) expires first; -1 waits indefinitely. Throws
-  /// std::runtime_error immediately when a shard is quarantined and
-  /// supervision is off — nothing will ever drain it, and the pre-PR-9
-  /// behavior was to wedge forever.
+  /// `timeoutMs` (>= 0) expires first; -1 waits indefinitely.
   bool drainWriters(std::int64_t timeoutMs = -1);
 
   /// Mutex-sampled backlog (queued events + one mid-application). The
@@ -393,7 +386,6 @@ class ServiceFleet {
     /// pushed back to the queue FRONT, so replay preserves order and no
     /// accepted event is ever lost.
     std::optional<WriterEvent> inflight;
-    bool busy = false;
     bool stop = false;
     ShardHealth health = ShardHealth::Healthy;
     /// Last applier/rebuild failure message (kept after recovery).
